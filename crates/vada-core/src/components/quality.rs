@@ -5,7 +5,7 @@ use vada_common::{Evaluation, Parallelism, Relation, Result};
 use vada_context::data_context::{capabilities, cfd_training_contexts};
 use vada_kb::{KnowledgeBase, QualityFact};
 use vada_map::{ExecuteConfig, ExecutorStats, IncrementalExecutor};
-use vada_quality::{accuracy_against_reference, consistency, learn_cfds_with, CfdLearnConfig};
+use vada_quality::{consistency, learn_cfds_with, CfdLearnConfig, ReferencePopulation};
 
 use crate::components::mapping::candidate_relation_name;
 use crate::transducer::{Activity, RunOutcome, Transducer};
@@ -182,8 +182,10 @@ impl Transducer for MappingQuality {
     fn run(&mut self, kb: &mut KnowledgeBase) -> Result<RunOutcome> {
         let mappings: Vec<_> = kb.mappings().cloned().collect();
         let cfds: Vec<_> = kb.cfds().cloned().collect();
-        // reference populations per target attribute, from context bindings
-        let mut reference_cols: Vec<(String, Relation, String)> = Vec::new();
+        // reference populations per target attribute, from context bindings;
+        // each is normalized on first use and shared by every later candidate
+        let mut reference_cols: Vec<(String, Relation, String, Option<ReferencePopulation>)> =
+            Vec::new();
         for (ctx_rel, ctx_attr, tgt_attr) in kb.context_bindings().to_vec() {
             if let Some(kind) = kb
                 .context_relations()
@@ -193,7 +195,7 @@ impl Transducer for MappingQuality {
             {
                 if capabilities(kind).quality_reference {
                     let rel = kb.relation(&ctx_rel)?.clone();
-                    reference_cols.push((tgt_attr, rel, ctx_attr));
+                    reference_cols.push((tgt_attr, rel, ctx_attr, None));
                 }
             }
         }
@@ -240,10 +242,13 @@ impl Transducer for MappingQuality {
             });
             written += 1;
             // syntactic accuracy against reference populations
-            for (tgt_attr, ref_rel, ref_attr) in &reference_cols {
+            for (tgt_attr, ref_rel, ref_attr, population) in &mut reference_cols {
                 if result.schema().index_of(tgt_attr).is_some() {
-                    let value =
-                        accuracy_against_reference(&result, tgt_attr, ref_rel, ref_attr)?;
+                    let population = match population {
+                        Some(p) => p,
+                        None => population.insert(ReferencePopulation::new(ref_rel, ref_attr)?),
+                    };
+                    let value = population.accuracy(&result, tgt_attr)?;
                     kb.add_quality(QualityFact {
                         entity_kind: "mapping".into(),
                         entity: mapping.id.clone(),

@@ -19,7 +19,10 @@
 //! per pass.
 
 use std::cell::RefCell;
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, HashMap, HashSet};
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::sync::OnceLock;
 
 use vada_common::obs::{key as obs_key, Obs};
 use vada_common::par::{self, Parallelism};
@@ -32,48 +35,140 @@ use crate::builtins::{apply_cmp, eval_expr, resolve, Binding};
 use crate::magic::{self, Demand};
 use crate::skolem;
 
+/// The process-wide keyed hasher every [`FactSet`] hashes its tuples with:
+/// randomly keyed SipHash, exactly as a fresh `HashSet` would use, but one
+/// key for the whole process so a tuple's hash can be computed once and
+/// stored next to it.
+static FACT_HASHER: OnceLock<RandomState> = OnceLock::new();
+
+/// A tuple's hash under [`FACT_HASHER`]. Unit tests truncate it to eight
+/// bits so that every fact set they build exercises the collision chains.
+fn fact_hash(t: &Tuple) -> u64 {
+    let h = FACT_HASHER.get_or_init(RandomState::new).hash_one(t);
+    #[cfg(test)]
+    let h = h & 0xff;
+    h
+}
+
+/// Passes an already computed `u64` hash through unchanged, so growing a
+/// row table moves integers and never re-hashes a tuple. The keys are
+/// keyed SipHash outputs, so crafted tuples still cannot force collisions.
+#[derive(Default)]
+struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("row tables are keyed by precomputed u64 hashes only")
+    }
+
+    fn write_u64(&mut self, h: u64) {
+        self.0 = h;
+    }
+}
+
+type RowTable<V> = HashMap<u64, V, BuildHasherDefault<IdentityHasher>>;
+
 /// A deduplicated, insertion-ordered set of facts for one predicate.
+///
+/// Each tuple is stored once, next to its hash. The row table maps a hash
+/// to the first row carrying it; any later row whose distinct tuple shares
+/// that 64-bit hash is chained in `collisions`. Membership is one hash plus
+/// tuple-equality checks along the chain.
 #[derive(Debug, Clone, Default)]
 pub struct FactSet {
     tuples: Vec<Tuple>,
-    set: HashSet<Tuple>,
+    hashes: Vec<u64>,
+    rows: RowTable<usize>,
+    collisions: RowTable<Vec<usize>>,
 }
 
 impl FactSet {
     /// Insert a fact; returns `true` if it was new.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        if self.set.insert(t.clone()) {
-            self.tuples.push(t);
-            true
-        } else {
-            false
+        let h = fact_hash(&t);
+        if self.find(h, &t).is_some() {
+            return false;
         }
+        self.link(h, self.tuples.len());
+        self.tuples.push(t);
+        self.hashes.push(h);
+        true
     }
 
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
-        self.set.contains(t)
+        self.row_of(t).is_some()
+    }
+
+    /// The row holding `t`, if present.
+    fn row_of(&self, t: &Tuple) -> Option<usize> {
+        self.find(fact_hash(t), t)
+    }
+
+    /// The row holding `t`, whose hash is `h`, if present.
+    fn find(&self, h: u64, t: &Tuple) -> Option<usize> {
+        let &first = self.rows.get(&h)?;
+        if self.tuples[first] == *t {
+            return Some(first);
+        }
+        self.collisions.get(&h)?.iter().copied().find(|&r| self.tuples[r] == *t)
+    }
+
+    /// Enter `row`, whose tuple is not yet in the table, under hash `h`.
+    fn link(&mut self, h: u64, row: usize) {
+        match self.rows.entry(h) {
+            Entry::Vacant(e) => {
+                e.insert(row);
+            }
+            Entry::Occupied(_) => self.collisions.entry(h).or_default().push(row),
+        }
     }
 
     /// Remove a fact, preserving the insertion order of the rest; returns
     /// `true` if it was present.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        if self.set.remove(t) {
-            let pos = self.tuples.iter().position(|x| x == t).expect("set and vec agree");
-            self.tuples.remove(pos);
-            true
-        } else {
-            false
-        }
+        let Some(row) = self.row_of(t) else {
+            return false;
+        };
+        self.tuples.remove(row);
+        self.hashes.remove(row);
+        self.rebuild_rows();
+        true
     }
 
     /// Remove every fact in `gone` in one pass, preserving the insertion
     /// order of the rest; returns how many were present and removed.
     pub fn remove_all(&mut self, gone: &HashSet<Tuple>) -> usize {
-        let before = self.tuples.len();
-        self.tuples.retain(|t| !gone.contains(t));
-        self.set.retain(|t| !gone.contains(t));
-        before - self.tuples.len()
+        let mut keep = vec![true; self.tuples.len()];
+        let mut removed = 0;
+        for t in gone {
+            if let Some(row) = self.row_of(t) {
+                keep[row] = false;
+                removed += 1;
+            }
+        }
+        if removed == 0 {
+            return 0;
+        }
+        retain_rows(&mut self.tuples, &keep);
+        retain_rows(&mut self.hashes, &keep);
+        self.rebuild_rows();
+        removed
+    }
+
+    /// Refill the row table from the stored hashes after rows moved. The
+    /// surviving tuples are distinct, so a repeated hash is a collision and
+    /// needs no equality check.
+    fn rebuild_rows(&mut self) {
+        self.rows.clear();
+        self.collisions.clear();
+        for row in 0..self.hashes.len() {
+            self.link(self.hashes[row], row);
+        }
     }
 
     /// Facts in insertion order.
@@ -90,6 +185,15 @@ impl FactSet {
     pub fn is_empty(&self) -> bool {
         self.tuples.is_empty()
     }
+}
+
+/// Keep the rows of `v` whose flag in `keep` is set, in order.
+fn retain_rows<T>(v: &mut Vec<T>, keep: &[bool]) {
+    let mut row = 0;
+    v.retain(|_| {
+        row += 1;
+        keep[row - 1]
+    });
 }
 
 /// A fact database: predicate name → fact set.
@@ -116,6 +220,9 @@ impl Database {
 
     /// Insert a fact; returns `true` if new.
     pub fn insert(&mut self, pred: &str, t: Tuple) -> bool {
+        if let Some(fs) = self.rels.get_mut(pred) {
+            return fs.insert(t);
+        }
         self.rels.entry(pred.to_string()).or_default().insert(t)
     }
 
@@ -468,8 +575,12 @@ impl Engine {
             // initial pass: all rules, full database. Maximal runs of
             // consecutive independent rules evaluate in parallel against
             // the same snapshot; their derivations then insert in rule
-            // order, reproducing the sequential pass byte for byte.
+            // order, reproducing the sequential pass byte for byte. The
+            // delta passes read only the recursive predicates, so `delta`
+            // holds just their new facts, while `new_facts` counts every
+            // new fact and drives the semi-naive loop.
             let mut delta = Database::new();
+            let mut new_facts = 0usize;
             let all_rules: Vec<usize> = (0..compiled.len()).collect();
             let initial_par = self.pass_parallelism(db.total_facts());
             obs.incr(obs_key::STRATUM_PASSES);
@@ -483,21 +594,14 @@ impl Engine {
                     |_, &ci| self.eval_rule_with(&compiled[ci], &db, None, Some(&*store)),
                 )?;
                 for derived in outs {
-                    for (pred, t) in derived {
-                        if demand.is_some_and(|d| !d.keeps(&pred, &t)) {
-                            continue;
-                        }
-                        if db.insert(&pred, t.clone()) {
-                            delta.insert(&pred, t);
-                        }
-                    }
+                    new_facts += insert_derived(&mut db, &mut delta, &recursive, demand, derived);
                 }
             }
             self.check_size(&db)?;
 
             // semi-naive iteration
             let mut iter = 0usize;
-            while delta.total_facts() > 0 {
+            while new_facts > 0 {
                 iter += 1;
                 if iter > self.config.max_iterations {
                     return Err(VadaError::Eval(format!(
@@ -506,6 +610,7 @@ impl Engine {
                     )));
                 }
                 let mut new_delta = Database::new();
+                let prev_new_facts = std::mem::take(&mut new_facts);
                 // one pass per occurrence of a recursive predicate, in the
                 // same flattened (rule, occurrence) order the sequential
                 // loop visits; pass eligibility depends only on the
@@ -530,7 +635,7 @@ impl Engine {
                     }
                 }
                 let pass_rules: Vec<usize> = passes.iter().map(|&(ci, _)| ci).collect();
-                let delta_par = self.pass_parallelism(delta.total_facts());
+                let delta_par = self.pass_parallelism(prev_new_facts);
                 obs.incr(obs_key::DELTA_PASSES);
                 for batch in independent_batches(&pass_rules, &rule_reads, &rule_heads) {
                     store.refresh(&db, fault)?;
@@ -550,14 +655,8 @@ impl Engine {
                         },
                     )?;
                     for derived in outs {
-                        for (pred, t) in derived {
-                            if demand.is_some_and(|d| !d.keeps(&pred, &t)) {
-                                continue;
-                            }
-                            if db.insert(&pred, t.clone()) {
-                                new_delta.insert(&pred, t);
-                            }
-                        }
+                        new_facts +=
+                            insert_derived(&mut db, &mut new_delta, &recursive, demand, derived);
                     }
                 }
                 self.check_size(&db)?;
@@ -771,6 +870,32 @@ impl Engine {
 /// Early-exit marker threaded through the join's `Result` channel by
 /// [`Engine::derives_fact`]; never surfaces to callers.
 const STOP_SENTINEL: &str = "__vada_derivability_probe_stop__";
+
+/// Insert one rule's derivations into `db` in order, skipping facts the
+/// demand does not keep. A new fact of a `recursive` predicate is also
+/// copied into `delta`; any other new fact moves into `db` uncloned.
+/// Returns how many facts were new.
+fn insert_derived(
+    db: &mut Database,
+    delta: &mut Database,
+    recursive: &BTreeSet<String>,
+    demand: Option<&Demand>,
+    derived: Vec<(String, Tuple)>,
+) -> usize {
+    let mut new = 0;
+    for (pred, t) in derived {
+        if demand.is_some_and(|d| !d.keeps(&pred, &t)) {
+            continue;
+        }
+        let inserted = if recursive.contains(&pred) {
+            db.insert(&pred, t.clone()) && delta.insert(&pred, t)
+        } else {
+            db.insert(&pred, t)
+        };
+        new += usize::from(inserted);
+    }
+    new
+}
 
 /// Split a sequence of work items (each evaluating one rule) into maximal
 /// runs that may share a database snapshot: an item joins the current run
@@ -1635,6 +1760,38 @@ mod tests {
         assert_eq!(fs.remove_all(&gone), 2);
         assert_eq!(fs.tuples(), &[tuple![1], tuple![3]]);
         assert!(!fs.contains(&tuple![0]));
+    }
+
+    #[test]
+    fn factset_collision_chains_hold_under_truncated_hashes() {
+        // unit tests truncate fact hashes to eight bits, so 600 distinct
+        // facts must share hashes; every operation has to resolve them by
+        // tuple equality along the chain
+        let facts: Vec<Tuple> = (0..600i64).map(|i| tuple![i, format!("v{}", i % 7)]).collect();
+        let mut fs = FactSet::default();
+        for t in &facts {
+            assert!(fs.insert(t.clone()));
+        }
+        assert!(!fs.collisions.is_empty(), "truncated hashes must collide");
+        for t in &facts {
+            assert!(!fs.insert(t.clone()), "duplicate {t} accepted");
+            assert!(fs.contains(t));
+        }
+        assert!(!fs.contains(&tuple![600, "v5"]));
+
+        // removals rebuild the chains from the stored hashes
+        assert!(fs.remove(&facts[3]));
+        let gone: HashSet<Tuple> = facts.iter().step_by(5).cloned().collect();
+        assert_eq!(fs.remove_all(&gone), gone.len());
+        let expected: Vec<Tuple> =
+            facts.iter().filter(|t| **t != facts[3] && !gone.contains(*t)).cloned().collect();
+        assert_eq!(fs.tuples(), expected.as_slice());
+        for t in &facts {
+            assert_eq!(fs.contains(t), expected.contains(t), "membership of {t}");
+        }
+        // a removed fact can come back, at the end
+        assert!(fs.insert(facts[0].clone()));
+        assert_eq!(fs.tuples().last(), Some(&facts[0]));
     }
 
     #[test]

@@ -4,8 +4,10 @@
 
 use proptest::prelude::*;
 
-use vada_common::{tuple, Tuple};
-use vada_datalog::{parse_program, Database, Engine};
+use vada_common::obs::key as obs_key;
+use vada_common::{tuple, Obs, Tuple};
+use vada_datalog::engine::FactSet;
+use vada_datalog::{parse_program, Database, Engine, EngineConfig};
 
 fn edges_db(edges: &[(u8, u8)]) -> Database {
     let mut db = Database::new();
@@ -37,7 +39,136 @@ fn reference_tc(edges: &[(u8, u8)]) -> std::collections::BTreeSet<(u8, u8)> {
     tc
 }
 
+/// A small fact domain with mixed arities and value types, so scripts
+/// revisit the same facts often.
+fn script_fact(v: u8) -> Tuple {
+    match v % 3 {
+        0 => tuple![(v / 3) as i64],
+        1 => tuple![(v / 3) as i64, format!("s{}", v / 3)],
+        _ => tuple![format!("s{}", v / 3), (v % 5) as f64 + 0.5, v.is_multiple_of(2)],
+    }
+}
+
+/// Run `src` over `db` with telemetry on; returns the result, the counters
+/// and the `delta_passes` attribute of every `datalog/stratum` span.
+fn run_observed(src: &str, db: Database) -> (Database, Obs, Vec<String>) {
+    let obs = Obs::enabled();
+    let engine = Engine::new(EngineConfig { obs: obs.clone(), ..EngineConfig::default() });
+    let out = engine.run(&parse_program(src).unwrap(), db).unwrap();
+    let passes = obs
+        .report()
+        .spans
+        .iter()
+        .filter(|s| s.name == "datalog/stratum")
+        .flat_map(|s| s.attrs.iter().filter(|(k, _)| k == "delta_passes").map(|(_, v)| v.clone()))
+        .collect();
+    (out, obs, passes)
+}
+
+#[test]
+fn non_recursive_stratum_runs_exactly_one_delta_pass() {
+    // no rule reads a predicate its stratum derives, so the delta stays
+    // empty; the loop is still driven by every new fact, so a stratum that
+    // derived anything runs one (empty) delta pass, as it did when the
+    // delta held every predicate
+    let mut db = Database::new();
+    db.insert("p", tuple![1]);
+    db.insert("p", tuple![2]);
+    let (out, obs, passes) = run_observed("q(X) :- p(X). r(X) :- p(X), X > 1.", db);
+    assert_eq!(passes, vec!["1".to_string()]);
+    assert_eq!(obs.get(obs_key::DELTA_PASSES), 1);
+    assert_eq!(obs.get(obs_key::STRATUM_PASSES), 1);
+    assert_eq!(out.facts("q"), &[tuple![1], tuple![2]]);
+    assert_eq!(out.facts("r"), &[tuple![2]]);
+
+    // a stratum that derives nothing runs no delta pass
+    let (_, obs, passes) = run_observed("q(X) :- p(X).", Database::new());
+    assert_eq!(passes, vec!["0".to_string()]);
+    assert_eq!(obs.get(obs_key::DELTA_PASSES), 0);
+}
+
+#[test]
+fn recursive_stratum_delta_passes_and_order_are_unchanged() {
+    // a chain of 5 edges: the initial pass already derives paths of
+    // length 1 and 2 (the step rule sees the base rule's facts), then one
+    // productive delta pass per length 3..=5 plus the final empty one
+    let chain: Vec<(u8, u8)> = (0..5).map(|i| (i, i + 1)).collect();
+    let (out, obs, passes) = run_observed(TC_PROGRAM, edges_db(&chain));
+    assert_eq!(passes, vec!["4".to_string()]);
+    assert_eq!(obs.get(obs_key::DELTA_PASSES), 4);
+    let order: Vec<(i64, i64)> =
+        out.facts("tc").iter().map(|t| (t[0].as_int().unwrap(), t[1].as_int().unwrap())).collect();
+    let mut expected: Vec<(i64, i64)> = Vec::new();
+    for len in 1..=5 {
+        expected.extend((0..=5 - len).map(|a| (a, a + len)));
+    }
+    assert_eq!(order, expected);
+
+    // a non-recursive head re-fired by the delta passes in the same
+    // stratum keeps the loop going exactly as before: `out(0)` is new in
+    // the last productive pass, so one more (empty) pass follows
+    let src = format!("{TC_PROGRAM} out(X) :- tc(X, Y), Y >= 5.");
+    let (out, _, passes) = run_observed(&src, edges_db(&chain));
+    assert_eq!(passes, vec!["5".to_string()]);
+    // shorter paths reach 5 first, so `out` fills from 4 down to 0
+    assert_eq!(out.facts("out"), &[tuple![4], tuple![3], tuple![2], tuple![1], tuple![0]]);
+}
+
 proptest! {
+    #[test]
+    fn factset_matches_a_naive_vec_model(
+        script in proptest::collection::vec((0u8..8, 0u8..30), 0..200)
+    ) {
+        // kinds 0-2 insert, 3-4 contains, 5-6 remove, 7 remove_all of a
+        // three-fact set (which may name absent facts)
+        let mut fs = FactSet::default();
+        let mut model: Vec<Tuple> = Vec::new();
+        for &(kind, v) in &script {
+            let t = script_fact(v);
+            match kind {
+                0..=2 => {
+                    let new = !model.contains(&t);
+                    if new {
+                        model.push(t.clone());
+                    }
+                    prop_assert_eq!(fs.insert(t), new);
+                }
+                3 | 4 => prop_assert_eq!(fs.contains(&t), model.contains(&t)),
+                5 | 6 => {
+                    let pos = model.iter().position(|x| *x == t);
+                    if let Some(pos) = pos {
+                        model.remove(pos);
+                    }
+                    prop_assert_eq!(fs.remove(&t), pos.is_some());
+                }
+                _ => {
+                    let gone: std::collections::HashSet<Tuple> =
+                        [v, v.wrapping_add(1) % 30, v.wrapping_add(7) % 30]
+                            .into_iter()
+                            .map(script_fact)
+                            .collect();
+                    let before = model.len();
+                    model.retain(|x| !gone.contains(x));
+                    prop_assert_eq!(fs.remove_all(&gone), before - model.len());
+                }
+            }
+            prop_assert_eq!(fs.len(), model.len());
+        }
+        prop_assert_eq!(fs.tuples(), model.as_slice());
+        prop_assert_eq!(fs.is_empty(), model.is_empty());
+        for v in 0..30u8 {
+            let t = script_fact(v);
+            prop_assert_eq!(fs.contains(&t), model.contains(&t), "membership of {}", t);
+        }
+        // a clone is an independent, equal set
+        let mut copy = fs.clone();
+        prop_assert_eq!(copy.tuples(), fs.tuples());
+        if let Some(first) = model.first() {
+            prop_assert!(copy.remove(first));
+            prop_assert!(fs.contains(first));
+        }
+    }
+
     #[test]
     fn seminaive_matches_reference_closure(
         edges in proptest::collection::vec((0u8..12, 0u8..12), 0..40)

@@ -45,7 +45,10 @@ pub fn coerce_value(v: &Value, ty: AttrType) -> Value {
         return Value::Null;
     }
     match ty {
-        AttrType::Str => Value::str(v.to_string()),
+        AttrType::Str => match v {
+            Value::Str(_) => v.clone(),
+            _ => Value::str(v.to_string()),
+        },
         AttrType::Int | AttrType::Float => {
             let direct = v.coerce(ty);
             if let Ok(x) = direct {
@@ -439,6 +442,7 @@ mod tests {
         assert_eq!(coerce_value(&Value::str("x"), AttrType::Int), Value::Null);
         assert_eq!(coerce_value(&Value::Null, AttrType::Int), Value::Null);
         assert_eq!(coerce_value(&Value::Int(5), AttrType::Str), Value::str("5"));
+        assert_eq!(coerce_value(&Value::str("M1 1AA"), AttrType::Str), Value::str("M1 1AA"));
         assert_eq!(
             coerce_value(&Value::str("2.5"), AttrType::Float),
             Value::Float(2.5)

@@ -24,31 +24,53 @@ pub fn consistency(rel: &Relation, cfds: &[CfdRule]) -> f64 {
 /// Syntactic accuracy of `attr` against a reference population: the
 /// fraction of non-null values that appear in the reference column
 /// (compared on normal forms). Returns 1.0 when the column has no values.
+/// Builds the population on every call; to score several relations against
+/// one column, build a [`ReferencePopulation`] once instead.
 pub fn accuracy_against_reference(
     rel: &Relation,
     attr: &str,
     reference: &Relation,
     ref_attr: &str,
 ) -> Result<f64> {
-    let col = rel.schema().require(attr)?;
-    let ref_col = reference.schema().require(ref_attr)?;
-    let population: HashSet<String> = reference
-        .iter()
-        .filter(|t| !t[ref_col].is_null())
-        .map(|t| normalize(&t[ref_col].to_string()))
-        .collect();
-    let mut total = 0usize;
-    let mut hits = 0usize;
-    for t in rel.iter() {
-        if t[col].is_null() {
-            continue;
-        }
-        total += 1;
-        if population.contains(&normalize(&t[col].to_string())) {
-            hits += 1;
-        }
+    rel.schema().require(attr)?;
+    ReferencePopulation::new(reference, ref_attr)?.accuracy(rel, attr)
+}
+
+/// The normal forms of a reference column's non-null values: the
+/// population [`accuracy_against_reference`] compares against.
+#[derive(Debug, Clone)]
+pub struct ReferencePopulation(HashSet<String>);
+
+impl ReferencePopulation {
+    /// Normalize the non-null values of `reference.ref_attr`.
+    pub fn new(reference: &Relation, ref_attr: &str) -> Result<ReferencePopulation> {
+        let ref_col = reference.schema().require(ref_attr)?;
+        Ok(ReferencePopulation(
+            reference
+                .iter()
+                .filter(|t| !t[ref_col].is_null())
+                .map(|t| normalize(&t[ref_col].to_string()))
+                .collect(),
+        ))
     }
-    Ok(if total == 0 { 1.0 } else { hits as f64 / total as f64 })
+
+    /// Syntactic accuracy of `rel.attr` against this population; see
+    /// [`accuracy_against_reference`].
+    pub fn accuracy(&self, rel: &Relation, attr: &str) -> Result<f64> {
+        let col = rel.schema().require(attr)?;
+        let mut total = 0usize;
+        let mut hits = 0usize;
+        for t in rel.iter() {
+            if t[col].is_null() {
+                continue;
+            }
+            total += 1;
+            if self.0.contains(&normalize(&t[col].to_string())) {
+                hits += 1;
+            }
+        }
+        Ok(if total == 0 { 1.0 } else { hits as f64 / total as f64 })
+    }
 }
 
 /// Coverage of master data: the fraction of distinct master keys present
@@ -126,6 +148,12 @@ mod tests {
         let a = accuracy_against_reference(&rel, "pc", &reference, "postcode").unwrap();
         assert!((a - 2.0 / 3.0).abs() < 1e-12);
         assert!(accuracy_against_reference(&rel, "nope", &reference, "postcode").is_err());
+
+        // a population built once scores like the one-shot wrapper, bit for bit
+        let population = ReferencePopulation::new(&reference, "postcode").unwrap();
+        assert_eq!(population.accuracy(&rel, "pc").unwrap().to_bits(), a.to_bits());
+        assert!(population.accuracy(&rel, "nope").is_err());
+        assert!(ReferencePopulation::new(&reference, "nope").is_err());
     }
 
     #[test]
