@@ -146,6 +146,9 @@ pub mod key {
     pub const MAP_FULL: &str = "map.execute.full";
     /// Incremental mapping executions (delta-maintained).
     pub const MAP_INCREMENTAL: &str = "map.execute.incremental";
+    /// Source relations scanned into mapping-input fact sets (rows plus
+    /// `postcode_district` helpers), on the coordinator.
+    pub const MAP_INPUT_SCANS: &str = "map.input.scans";
 
     /// Parallel stages dispatched through the obs-aware entry points.
     pub const PAR_STAGES: &str = "par.stages";

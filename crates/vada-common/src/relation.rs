@@ -72,6 +72,11 @@ impl Relation {
         &self.tuples
     }
 
+    /// Consume the relation, returning its tuples in row order.
+    pub fn into_tuples(self) -> Vec<Tuple> {
+        self.tuples
+    }
+
     /// Iterate over tuples.
     pub fn iter(&self) -> std::slice::Iter<'_, Tuple> {
         self.tuples.iter()

@@ -1,5 +1,6 @@
 //! Tuples: fixed-arity rows of [`Value`]s.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Index;
 
@@ -67,6 +68,14 @@ impl Index<usize> for Tuple {
     }
 }
 
+/// Lets hash maps and sets keyed by [`Tuple`] be probed with a borrowed
+/// `&[Value]`: the derived `Hash`/`Eq` of the boxed slice are the slice's.
+impl Borrow<[Value]> for Tuple {
+    fn borrow(&self) -> &[Value] {
+        &self.0
+    }
+}
+
 impl From<Vec<Value>> for Tuple {
     fn from(v: Vec<Value>) -> Self {
         Tuple::new(v)
@@ -125,6 +134,15 @@ mod tests {
         assert_eq!(t.arity(), 4);
         assert_eq!(t[0], Value::str("a"));
         assert_eq!(t[3], Value::Bool(true));
+    }
+
+    #[test]
+    fn borrowed_slice_probes_tuple_keyed_sets() {
+        let set: std::collections::HashSet<Tuple> = [tuple!["a", 1], tuple![2.5]].into();
+        let probe = [Value::str("a"), Value::Int(1)];
+        assert!(set.contains(&probe[..]));
+        assert!(!set.contains(&probe[..1]));
+        assert!(set.contains(&[Value::Float(2.5)][..]));
     }
 
     #[test]

@@ -5,7 +5,7 @@ use vada_context::UserContext;
 use vada_kb::{KnowledgeBase, ShardedStore};
 use vada_map::{
     execute_mapping_cached, generate_candidates, rank_mappings, ExecuteConfig, IncrementalExecutor,
-    IndexCache, MapGenConfig, MappingScore,
+    IndexCache, MapGenConfig, MappingInputs, MappingScore,
 };
 
 use crate::components::feedback::apply_vetoes;
@@ -238,7 +238,14 @@ impl Transducer for MappingExecution {
                 self.executor.execute_with(&self.config, &mapping, kb, store)?
             }
             Err(_) => {
-                execute_mapping_cached(&self.config, &mapping, kb, store, &mut self.index_cache)?
+                execute_mapping_cached(
+                    &self.config,
+                    &mapping,
+                    kb,
+                    store,
+                    &mut self.index_cache,
+                    &mut MappingInputs::new(),
+                )?
             }
         };
         let vetoed = apply_vetoes(&mut result, kb.vetoes());

@@ -4,7 +4,7 @@
 use vada_common::{Evaluation, Parallelism, Relation, Result};
 use vada_context::data_context::{capabilities, cfd_training_contexts};
 use vada_kb::{KnowledgeBase, QualityFact};
-use vada_map::{ExecuteConfig, ExecutorStats, IncrementalExecutor};
+use vada_map::{ExecuteConfig, ExecutorStats, IncrementalExecutor, MappingInputs};
 use vada_quality::{consistency, learn_cfds_with, CfdLearnConfig, ReferencePopulation};
 
 use crate::components::mapping::candidate_relation_name;
@@ -202,6 +202,9 @@ impl Transducer for MappingQuality {
         kb.clear_quality("mapping");
         let mut written = 0usize;
         let mut materialised: Vec<(String, Relation)> = Vec::new();
+        // the loop writes only quality facts, so every candidate's sources
+        // stay as they are: each is scanned into input facts once
+        let mut inputs = MappingInputs::new();
         for mapping in &mappings {
             let store = crate::components::mapping::sharded_store(
                 &mut self.store,
@@ -216,6 +219,7 @@ impl Transducer for MappingQuality {
                     kb,
                     store,
                     self.index_caches.entry(mapping.id.clone()).or_default(),
+                    &mut inputs,
                 )?
             };
             // completeness per target attribute
@@ -277,10 +281,8 @@ impl Transducer for MappingQuality {
                 written += 1;
             }
             // cache the materialisation for execution reuse
-            let cached = Relation::from_tuples(
-                result.schema().renamed(candidate_relation_name(&id)),
-                result.tuples().to_vec(),
-            )?;
+            let schema = result.schema().renamed(candidate_relation_name(&id));
+            let cached = Relation::from_tuples(schema, result.into_tuples())?;
             kb.put_intermediate(cached);
         }
         kb.log("mapping_quality", "add_quality", &written.to_string());
@@ -412,5 +414,45 @@ mod tests {
         assert!(acc_street.value > 0.99, "streets are all in the reference");
         // candidate materialisation cached
         assert!(kb.relation("candidate_map0").is_ok());
+    }
+
+    #[test]
+    fn full_quality_round_scans_each_source_once() {
+        use vada_common::obs::key as obs_key;
+        use vada_common::{Obs, Sharding};
+        use vada_extract::sources::target_schema;
+        use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
+
+        // bootstrap the benchmark scenario to get its candidate mappings
+        let sc = Scenario::generate(ScenarioConfig {
+            universe: UniverseConfig { properties: 200, seed: 7 },
+            ..ScenarioConfig::default()
+        });
+        let mut w = crate::Wrangler::new();
+        w.set_evaluation(Evaluation::Full);
+        w.set_sharding(Sharding::Off);
+        for rel in [sc.rightmove, sc.onthemarket, sc.deprivation] {
+            w.add_source(rel);
+        }
+        w.set_target(target_schema());
+        w.run().unwrap();
+        let mut kb = w.kb().clone();
+        let mappings: Vec<MappingDef> = kb.mappings().cloned().collect();
+        let distinct: std::collections::BTreeSet<&String> =
+            mappings.iter().flat_map(|m| &m.sources).collect();
+        let per_candidate: usize = mappings.iter().map(|m| m.sources.len()).sum();
+        assert_eq!((mappings.len(), distinct.len(), per_candidate), (6, 3, 11));
+
+        // a quality round scans each distinct source once; the sharded
+        // path scans per candidate
+        for (sharding, scans) in [(Sharding::Off, 3), (Sharding::Shards(2), 11)] {
+            let obs = Obs::enabled();
+            let mut t = MappingQuality::default();
+            t.set_evaluation(Evaluation::Full);
+            t.set_sharding(sharding);
+            t.set_obs(obs.clone());
+            t.run(&mut kb).unwrap();
+            assert_eq!(obs.get(obs_key::MAP_INPUT_SCANS), scans, "{sharding:?}");
+        }
     }
 }

@@ -18,11 +18,12 @@
 //! indexes on the bound positions of each positive literal are built lazily
 //! per pass.
 
+use std::borrow::Borrow;
 use std::cell::RefCell;
 use std::collections::hash_map::{Entry, RandomState};
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use vada_common::obs::{key as obs_key, Obs};
 use vada_common::par::{self, Parallelism};
@@ -41,9 +42,10 @@ use crate::skolem;
 /// stored next to it.
 static FACT_HASHER: OnceLock<RandomState> = OnceLock::new();
 
-/// A tuple's hash under [`FACT_HASHER`]. Unit tests truncate it to eight
-/// bits so that every fact set they build exercises the collision chains.
-fn fact_hash(t: &Tuple) -> u64 {
+/// A fact's hash under [`FACT_HASHER`], taken over its values so a probe
+/// can be a borrowed `&[Value]`. Unit tests truncate it to eight bits so
+/// that every fact set they build exercises the collision chains.
+fn fact_hash(t: &[Value]) -> u64 {
     let h = FACT_HASHER.get_or_init(RandomState::new).hash_one(t);
     #[cfg(test)]
     let h = h & 0xff;
@@ -89,33 +91,49 @@ pub struct FactSet {
 impl FactSet {
     /// Insert a fact; returns `true` if it was new.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        let h = fact_hash(&t);
-        if self.find(h, &t).is_some() {
+        let h = fact_hash(t.values());
+        if self.find(h, t.values()).is_some() {
             return false;
         }
-        self.link(h, self.tuples.len());
-        self.tuples.push(t);
-        self.hashes.push(h);
+        self.push_new(h, t);
         true
     }
 
-    /// Membership test.
-    pub fn contains(&self, t: &Tuple) -> bool {
-        self.row_of(t).is_some()
+    /// Append every fact of `other` not yet present, in `other`'s order,
+    /// reusing its stored hashes: the result equals inserting `other`'s
+    /// facts one by one, without hashing any of them again.
+    pub fn extend_from(&mut self, other: &FactSet) {
+        for (t, &h) in other.tuples.iter().zip(&other.hashes) {
+            if self.find(h, t.values()).is_none() {
+                self.push_new(h, t.clone());
+            }
+        }
+    }
+
+    /// Membership test; accepts a [`Tuple`] or a borrowed `&[Value]`.
+    pub fn contains<Q: Borrow<[Value]> + ?Sized>(&self, t: &Q) -> bool {
+        self.row_of(t.borrow()).is_some()
     }
 
     /// The row holding `t`, if present.
-    fn row_of(&self, t: &Tuple) -> Option<usize> {
+    fn row_of(&self, t: &[Value]) -> Option<usize> {
         self.find(fact_hash(t), t)
     }
 
     /// The row holding `t`, whose hash is `h`, if present.
-    fn find(&self, h: u64, t: &Tuple) -> Option<usize> {
+    fn find(&self, h: u64, t: &[Value]) -> Option<usize> {
         let &first = self.rows.get(&h)?;
-        if self.tuples[first] == *t {
+        if self.tuples[first].values() == t {
             return Some(first);
         }
-        self.collisions.get(&h)?.iter().copied().find(|&r| self.tuples[r] == *t)
+        self.collisions.get(&h)?.iter().copied().find(|&r| self.tuples[r].values() == t)
+    }
+
+    /// Append `t`, known to be absent, under its hash `h`.
+    fn push_new(&mut self, h: u64, t: Tuple) {
+        self.link(h, self.tuples.len());
+        self.tuples.push(t);
+        self.hashes.push(h);
     }
 
     /// Enter `row`, whose tuple is not yet in the table, under hash `h`.
@@ -131,7 +149,7 @@ impl FactSet {
     /// Remove a fact, preserving the insertion order of the rest; returns
     /// `true` if it was present.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        let Some(row) = self.row_of(t) else {
+        let Some(row) = self.row_of(t.values()) else {
             return false;
         };
         self.tuples.remove(row);
@@ -146,7 +164,7 @@ impl FactSet {
         let mut keep = vec![true; self.tuples.len()];
         let mut removed = 0;
         for t in gone {
-            if let Some(row) = self.row_of(t) {
+            if let Some(row) = self.row_of(t.values()) {
                 keep[row] = false;
                 removed += 1;
             }
@@ -197,9 +215,14 @@ fn retain_rows<T>(v: &mut Vec<T>, keep: &[bool]) {
 }
 
 /// A fact database: predicate name → fact set.
+///
+/// Fact sets are copy-on-write: each sits behind an [`Arc`], cloning a
+/// database copies only the pointers, and the first write to a shared fact
+/// set clones it. [`Database::share_fact_set`] hands one fact set to
+/// several databases without copying it.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    rels: HashMap<String, FactSet>,
+    rels: HashMap<String, Arc<FactSet>>,
     /// Per-predicate *reorder epoch*: bumped by every mutation that can
     /// shrink or rewrite a predicate's row-id space (removals, clears,
     /// wholesale replacement) — never by inserts, which only append. A
@@ -220,21 +243,45 @@ impl Database {
 
     /// Insert a fact; returns `true` if new.
     pub fn insert(&mut self, pred: &str, t: Tuple) -> bool {
-        if let Some(fs) = self.rels.get_mut(pred) {
-            return fs.insert(t);
-        }
-        self.rels.entry(pred.to_string()).or_default().insert(t)
+        self.fact_set_mut(pred).insert(t)
     }
 
-    /// Whether the fact is present.
-    pub fn contains(&self, pred: &str, t: &Tuple) -> bool {
+    /// The writable fact set of `pred`, created empty if absent and cloned
+    /// first if another database shares it.
+    pub(crate) fn fact_set_mut(&mut self, pred: &str) -> &mut FactSet {
+        if !self.rels.contains_key(pred) {
+            self.rels.insert(pred.to_string(), Arc::default());
+        }
+        Arc::make_mut(self.rels.get_mut(pred).expect("inserted above"))
+    }
+
+    /// Whether the fact is present; accepts a [`Tuple`] or a borrowed
+    /// `&[Value]`.
+    pub fn contains<Q: Borrow<[Value]> + ?Sized>(&self, pred: &str, t: &Q) -> bool {
         self.rels.get(pred).is_some_and(|fs| fs.contains(t))
+    }
+
+    /// Share `facts` as predicate `pred` without copying them: an absent or
+    /// empty predicate takes the fact set itself, and a predicate that
+    /// already holds facts appends the new ones in `facts`' order (see
+    /// [`FactSet::extend_from`]). Either way the result equals inserting
+    /// every fact of `facts` in order, and the reorder epoch is untouched.
+    pub fn share_fact_set(&mut self, pred: &str, facts: &Arc<FactSet>) {
+        match self.rels.get_mut(pred) {
+            // already shared (a source listed twice): nothing to add
+            Some(fs) if Arc::ptr_eq(fs, facts) => {}
+            Some(fs) if !fs.is_empty() => Arc::make_mut(fs).extend_from(facts),
+            Some(fs) => *fs = Arc::clone(facts),
+            None => {
+                self.rels.insert(pred.to_string(), Arc::clone(facts));
+            }
+        }
     }
 
     /// Remove a fact, preserving the insertion order of the remaining facts
     /// of the predicate; returns `true` if it was present.
     pub fn remove(&mut self, pred: &str, t: &Tuple) -> bool {
-        let removed = self.rels.get_mut(pred).is_some_and(|fs| fs.remove(t));
+        let removed = self.rels.get_mut(pred).is_some_and(|fs| Arc::make_mut(fs).remove(t));
         if removed {
             self.bump_epoch(pred);
         }
@@ -245,7 +292,7 @@ impl Database {
     /// preserving the insertion order of the rest; returns how many were
     /// present and removed.
     pub fn remove_facts(&mut self, pred: &str, gone: &HashSet<Tuple>) -> usize {
-        let removed = self.rels.get_mut(pred).map_or(0, |fs| fs.remove_all(gone));
+        let removed = self.rels.get_mut(pred).map_or(0, |fs| Arc::make_mut(fs).remove_all(gone));
         if removed > 0 {
             self.bump_epoch(pred);
         }
@@ -265,7 +312,7 @@ impl Database {
 
     /// The predicate's reorder epoch; 0 until a shrinking/rewriting
     /// mutation first touches it.
-    pub(crate) fn epoch(&self, pred: &str) -> u64 {
+    pub fn epoch(&self, pred: &str) -> u64 {
         self.epochs.get(pred).copied().unwrap_or(0)
     }
 
@@ -280,7 +327,7 @@ impl Database {
 
     /// The fact set for a predicate, if any.
     pub fn fact_set(&self, pred: &str) -> Option<&FactSet> {
-        self.rels.get(pred)
+        self.rels.get(pred).map(|fs| &**fs)
     }
 
     /// Predicate names, sorted (deterministic iteration).
@@ -297,7 +344,7 @@ impl Database {
 
     /// Bulk-load all tuples of a [`vada_common::Relation`] under its name.
     pub fn insert_relation(&mut self, rel: &vada_common::Relation) {
-        let fs = self.rels.entry(rel.name().to_string()).or_default();
+        let fs = self.fact_set_mut(rel.name());
         for t in rel.iter() {
             fs.insert(t.clone());
         }
@@ -330,20 +377,18 @@ impl Database {
                 .map(|&row| rel.tuples()[row].clone())
                 .collect::<Vec<Tuple>>())
         })?;
-        let fs = self.rels.entry(rel.name().to_string()).or_default();
+        let fs = self.fact_set_mut(rel.name());
         for t in merge_in_order(&assignment, per_shard) {
             fs.insert(t);
         }
         Ok(())
     }
 
-    /// Merge another database into this one.
+    /// Merge another database into this one, sharing its fact sets (see
+    /// [`Database::share_fact_set`]).
     pub fn merge(&mut self, other: &Database) {
         for (pred, fs) in &other.rels {
-            let dst = self.rels.entry(pred.clone()).or_default();
-            for t in fs.tuples() {
-                dst.insert(t.clone());
-            }
+            self.share_fact_set(pred, fs);
         }
     }
 
@@ -352,7 +397,7 @@ impl Database {
     /// multi-rule head after a delta pass; never exposed publicly because
     /// arbitrary replacement would break the append-only order reasoning.
     pub(crate) fn set_fact_set(&mut self, pred: &str, fs: FactSet) {
-        self.rels.insert(pred.to_string(), fs);
+        self.rels.insert(pred.to_string(), Arc::new(fs));
         // replacement gives no prefix guarantee, so row ids may have moved
         self.bump_epoch(pred);
     }
@@ -593,8 +638,10 @@ impl Engine {
                     &batch,
                     |_, &ci| self.eval_rule_with(&compiled[ci], &db, None, Some(&*store)),
                 )?;
-                for derived in outs {
-                    new_facts += insert_derived(&mut db, &mut delta, &recursive, demand, derived);
+                for (&ci, derived) in batch.iter().zip(outs) {
+                    let head = rule_heads[ci];
+                    new_facts +=
+                        insert_derived(&mut db, &mut delta, &recursive, demand, head, derived);
                 }
             }
             self.check_size(&db)?;
@@ -654,9 +701,16 @@ impl Engine {
                             )
                         },
                     )?;
-                    for derived in outs {
-                        new_facts +=
-                            insert_derived(&mut db, &mut new_delta, &recursive, demand, derived);
+                    for (&pi, derived) in batch.iter().zip(outs) {
+                        let head = rule_heads[passes[pi].0];
+                        new_facts += insert_derived(
+                            &mut db,
+                            &mut new_delta,
+                            &recursive,
+                            demand,
+                            head,
+                            derived,
+                        );
                     }
                 }
                 self.check_size(&db)?;
@@ -675,7 +729,7 @@ impl Engine {
         let derived = self.eval_rule(&cr, db, None)?;
         let mut out = Vec::new();
         let mut seen = HashSet::new();
-        for (_, t) in derived {
+        for t in derived {
             if seen.insert(t.clone()) {
                 out.push(t);
             }
@@ -705,7 +759,7 @@ impl Engine {
         let derived = self.eval_rule_with(&cr, db, None, Some(&*store))?;
         let mut out = Vec::new();
         let mut seen = HashSet::new();
-        for (_, t) in derived {
+        for t in derived {
             if seen.insert(t.clone()) {
                 out.push(t);
             }
@@ -747,14 +801,15 @@ impl Engine {
         Ok(())
     }
 
-    /// Evaluate one rule; returns `(pred, tuple)` pairs (possibly with
-    /// duplicates — the caller dedups on insert).
+    /// Evaluate one rule; returns its head tuples in derivation order
+    /// (possibly with duplicates — the caller dedups on insert). They are
+    /// facts of `cr.rule.head_pred`.
     pub(crate) fn eval_rule(
         &self,
         cr: &CompiledRule,
         db: &Database,
         spec: Option<DeltaSpec<'_>>,
-    ) -> Result<Vec<(String, Tuple)>> {
+    ) -> Result<Vec<Tuple>> {
         self.eval_rule_with(cr, db, spec, None)
     }
 
@@ -767,15 +822,16 @@ impl Engine {
         db: &Database,
         spec: Option<DeltaSpec<'_>>,
         shared: Option<&IndexStore>,
-    ) -> Result<Vec<(String, Tuple)>> {
-        let ctx = EvalCtx { db, spec, shared, cache: RefCell::new(HashMap::new()) };
+    ) -> Result<Vec<Tuple>> {
+        let ctx = EvalCtx { db, spec, shared, cache: RefCell::new(Vec::new()) };
         let mut binding: Binding = vec![None; cr.rule.var_count];
+        let mut key = Vec::new();
         let mut results = Vec::new();
 
         if cr.rule.has_aggregate() {
             let mut rows: Vec<Binding> = Vec::new();
             let mut seen: HashSet<Vec<Option<Value>>> = HashSet::new();
-            join(cr, &ctx, 0, &mut binding, &mut |b| {
+            join(cr, &ctx, 0, &mut binding, &mut key, &mut |b| {
                 if seen.insert(b.to_vec()) {
                     rows.push(b.to_vec());
                 }
@@ -784,9 +840,8 @@ impl Engine {
             aggregate(cr, &rows, &mut results)?;
         } else {
             let cfg_depth = self.config.max_skolem_depth;
-            join(cr, &ctx, 0, &mut binding, &mut |b| {
-                let t = head_tuple(cr, b, cfg_depth)?;
-                results.push((cr.rule.head_pred.clone(), t));
+            join(cr, &ctx, 0, &mut binding, &mut key, &mut |b| {
+                results.push(head_tuple(cr, b, cfg_depth)?);
                 Ok(())
             })?;
         }
@@ -848,11 +903,11 @@ impl Engine {
             db,
             spec: Some(DeltaSpec::Except { dead }),
             shared: None,
-            cache: RefCell::new(HashMap::new()),
+            cache: RefCell::new(Vec::new()),
         };
         let mut found = false;
         let depth = self.config.max_skolem_depth;
-        let outcome = join(cr, &ctx, 0, &mut binding, &mut |b| {
+        let outcome = join(cr, &ctx, 0, &mut binding, &mut Vec::new(), &mut |b| {
             if head_tuple(cr, b, depth)? == *fact {
                 found = true;
                 return Err(VadaError::Eval(STOP_SENTINEL.into()));
@@ -871,30 +926,40 @@ impl Engine {
 /// [`Engine::derives_fact`]; never surfaces to callers.
 const STOP_SENTINEL: &str = "__vada_derivability_probe_stop__";
 
-/// Insert one rule's derivations into `db` in order, skipping facts the
-/// demand does not keep. A new fact of a `recursive` predicate is also
-/// copied into `delta`; any other new fact moves into `db` uncloned.
+/// Insert one rule's derivations, facts of `pred`, into `db` in order,
+/// skipping facts the demand does not keep. A new fact of a `recursive`
+/// predicate is also copied into `delta`; any other new fact moves into
+/// `db` uncloned. Each fact set is looked up once, on the first kept fact.
 /// Returns how many facts were new.
 fn insert_derived(
     db: &mut Database,
     delta: &mut Database,
     recursive: &BTreeSet<String>,
     demand: Option<&Demand>,
-    derived: Vec<(String, Tuple)>,
+    pred: &str,
+    derived: Vec<Tuple>,
 ) -> usize {
-    let mut new = 0;
-    for (pred, t) in derived {
-        if demand.is_some_and(|d| !d.keeps(&pred, &t)) {
-            continue;
-        }
-        let inserted = if recursive.contains(&pred) {
-            db.insert(&pred, t.clone()) && delta.insert(&pred, t)
-        } else {
-            db.insert(&pred, t)
-        };
-        new += usize::from(inserted);
+    let mut kept = derived
+        .into_iter()
+        .filter(|t| demand.is_none_or(|d| d.keeps(pred, t)))
+        .peekable();
+    if kept.peek().is_none() {
+        return 0;
     }
-    new
+    let facts = db.fact_set_mut(pred);
+    let start = facts.len();
+    for t in kept {
+        facts.insert(t);
+    }
+    // inserts only append, so the new facts are the suffix
+    let new = &facts.tuples()[start..];
+    if !new.is_empty() && recursive.contains(pred) {
+        let delta = delta.fact_set_mut(pred);
+        for t in new {
+            delta.insert(t.clone());
+        }
+    }
+    new.len()
 }
 
 /// Split a sequence of work items (each evaluating one rule) into maximal
@@ -928,6 +993,19 @@ pub(crate) fn independent_batches(
 /// Build the head tuple for a satisfied binding, inventing skolems for
 /// existential variables.
 fn head_tuple(cr: &CompiledRule, binding: &Binding, max_depth: usize) -> Result<Tuple> {
+    if !cr.existential {
+        // every head variable occurs in the body, so the join bound it
+        let mut values = Vec::with_capacity(cr.rule.head_terms.len());
+        for ht in &cr.rule.head_terms {
+            let HeadTerm::Term(t) = ht else {
+                return Err(VadaError::Eval("aggregate outside aggregate path".into()));
+            };
+            values.push(resolve(t, binding).ok_or_else(|| {
+                VadaError::Eval(format!("unbound head variable in rule `{}`", cr.rule))
+            })?);
+        }
+        return Ok(Tuple::new(values));
+    }
     // frontier: resolved non-existential head var/const values, in order
     let mut frontier: Vec<Value> = Vec::new();
     for ht in &cr.rule.head_terms {
@@ -967,11 +1045,7 @@ fn head_tuple(cr: &CompiledRule, binding: &Binding, max_depth: usize) -> Result<
 }
 
 /// Compute aggregate head tuples from deduplicated body bindings.
-fn aggregate(
-    cr: &CompiledRule,
-    rows: &[Binding],
-    out: &mut Vec<(String, Tuple)>,
-) -> Result<()> {
+fn aggregate(cr: &CompiledRule, rows: &[Binding], out: &mut Vec<Tuple>) -> Result<()> {
     use crate::ast::AggFunc;
     // group key: resolved plain head terms
     let mut groups: HashMap<Vec<Value>, Vec<&Binding>> = HashMap::new();
@@ -1041,7 +1115,7 @@ fn aggregate(
                 }
             }
         }
-        out.push((cr.rule.head_pred.clone(), Tuple::new(values)));
+        out.push(Tuple::new(values));
     }
     Ok(())
 }
@@ -1059,6 +1133,9 @@ pub(crate) struct CompiledRule<'a> {
     /// Indices (into `rule.body`) of positive literals in source order —
     /// used for delta-occurrence numbering.
     pub(crate) positive_lit_indices: Vec<usize>,
+    /// Whether some head variable occurs nowhere in the body, so a
+    /// derivation must invent skolem values for it.
+    existential: bool,
 }
 
 impl<'a> CompiledRule<'a> {
@@ -1177,7 +1254,20 @@ impl<'a> CompiledRule<'a> {
             .map(|(i, _)| i)
             .collect();
 
-        Ok(CompiledRule { rule, rule_idx, order, bound_positions, positive_lit_indices })
+        let body_vars: BTreeSet<usize> = body.iter().flat_map(lit_vars).collect();
+        let existential = rule
+            .head_terms
+            .iter()
+            .any(|ht| matches!(ht, HeadTerm::Term(Term::Var(id, _)) if !body_vars.contains(id)));
+
+        Ok(CompiledRule {
+            rule,
+            rule_idx,
+            order,
+            bound_positions,
+            positive_lit_indices,
+            existential,
+        })
     }
 
     /// Occurrence number (among positive literals) of body literal `lit_idx`.
@@ -1294,7 +1384,7 @@ impl IndexStore {
     /// Row ids matching `key`, if this shape is registered and covers the
     /// predicate's current length *and* reorder epoch (`None` falls back
     /// to the lazy index).
-    fn lookup(&self, db: &Database, pred: &str, cols: &[usize], key: &Tuple) -> Option<Vec<usize>> {
+    fn lookup(&self, db: &Database, pred: &str, cols: &[usize], key: &[Value]) -> Option<&[usize]> {
         let index = self.indexes.get(pred)?.get(cols)?;
         if index.covered != db.facts(pred).len() || index.epoch != db.epoch(pred) {
             return None;
@@ -1303,7 +1393,7 @@ impl IndexStore {
         // which (literal, binding) probes the evaluation performs — fixed
         // by the program and database — never on worker scheduling
         self.obs.incr(obs_key::INDEX_PROBES);
-        Some(index.map.get(key).cloned().unwrap_or_default())
+        Some(index.map.get(key).map_or(&[], Vec::as_slice))
     }
 }
 
@@ -1341,8 +1431,31 @@ pub(crate) enum DeltaSpec<'a> {
     },
 }
 
-/// Index namespace per source shape (full / delta / filtered view).
-type IndexKey = (u8, String, Vec<usize>);
+/// A lazily built hash index over one source shape: its namespace (full /
+/// delta / filtered view), predicate and bound columns, then key → row ids.
+type LazyIndex = (u8, String, Vec<usize>, HashMap<Tuple, Vec<usize>>);
+
+/// The row ids one positive literal visits, in ascending order.
+enum Rows<'a> {
+    /// Every row of an unfiltered source (no bound columns).
+    All(std::ops::Range<usize>),
+    /// A shared index's row list, borrowed.
+    Shared(std::slice::Iter<'a, usize>),
+    /// A copy out of a lazy per-call index, or a filtered scan.
+    Copied(std::vec::IntoIter<usize>),
+}
+
+impl Iterator for Rows<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Rows::All(rows) => rows.next(),
+            Rows::Shared(rows) => rows.next().copied(),
+            Rows::Copied(rows) => rows.next(),
+        }
+    }
+}
 
 /// One positive literal's resolved source: the backing database, its index
 /// namespace, and an optional set of facts to treat as absent.
@@ -1357,8 +1470,9 @@ struct EvalCtx<'a> {
     spec: Option<DeltaSpec<'a>>,
     /// persistent indexes over `db` (full-source lookups only)
     shared: Option<&'a IndexStore>,
-    /// lazily built hash indexes: (tag, pred, cols) → key → row ids
-    cache: RefCell<HashMap<IndexKey, HashMap<Tuple, Vec<usize>>>>,
+    /// lazily built hash indexes, found by a linear scan: a rule touches
+    /// only a handful of shapes, and the scan allocates nothing
+    cache: RefCell<Vec<LazyIndex>>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -1390,17 +1504,26 @@ impl<'a> EvalCtx<'a> {
 
     /// Row ids of `pred` facts (within the selected source, respecting its
     /// exclusion set) whose projection on `cols` equals `key`.
-    fn candidates(&self, sel: &SourceSel<'a>, pred: &str, cols: &[usize], key: &Tuple) -> Vec<usize> {
+    fn candidates(
+        &self,
+        sel: &SourceSel<'a>,
+        pred: &str,
+        cols: &[usize],
+        key: &[Value],
+    ) -> Rows<'a> {
         let visible = |t: &Tuple| sel.minus.is_none_or(|m| !m.contains(pred, t));
         if cols.is_empty() {
-            return sel
-                .db
-                .facts(pred)
+            let facts = sel.db.facts(pred);
+            if sel.minus.is_none() {
+                return Rows::All(0..facts.len());
+            }
+            let rows: Vec<usize> = facts
                 .iter()
                 .enumerate()
                 .filter(|(_, t)| visible(t))
                 .map(|(row, _)| row)
                 .collect();
+            return Rows::Copied(rows.into_iter());
         }
         // the full-database source first consults the run's shared indexes
         if sel.tag == 0 && sel.minus.is_none() {
@@ -1408,31 +1531,76 @@ impl<'a> EvalCtx<'a> {
                 .shared
                 .and_then(|s| s.lookup(sel.db, pred, cols, key))
             {
-                return rows;
+                return Rows::Shared(rows.iter());
             }
         }
-        let cache_key = (sel.tag, pred.to_string(), cols.to_vec());
         let mut cache = self.cache.borrow_mut();
-        let index = cache.entry(cache_key).or_insert_with(|| {
-            let mut idx: HashMap<Tuple, Vec<usize>> = HashMap::new();
-            for (row, t) in sel.db.facts(pred).iter().enumerate() {
-                if visible(t) && cols.iter().all(|&c| c < t.arity()) {
-                    idx.entry(t.project(cols)).or_default().push(row);
+        let slot = match cache
+            .iter()
+            .position(|(tag, p, c, _)| *tag == sel.tag && p == pred && c == cols)
+        {
+            Some(slot) => slot,
+            None => {
+                let mut idx: HashMap<Tuple, Vec<usize>> = HashMap::new();
+                for (row, t) in sel.db.facts(pred).iter().enumerate() {
+                    if visible(t) && cols.iter().all(|&c| c < t.arity()) {
+                        idx.entry(t.project(cols)).or_default().push(row);
+                    }
                 }
+                cache.push((sel.tag, pred.to_string(), cols.to_vec(), idx));
+                cache.len() - 1
             }
-            idx
-        });
-        index.get(key).cloned().unwrap_or_default()
+        };
+        let rows = cache[slot].3.get(key).cloned().unwrap_or_default();
+        Rows::Copied(rows.into_iter())
+    }
+}
+
+/// How many variables one candidate row may bind before its [`Trail`]
+/// spills to the heap; wider atoms are rare.
+const TRAIL_INLINE: usize = 32;
+
+/// The variables one candidate row bound, undone before the next row. A
+/// fixed stack buffer, so the join allocates nothing per row.
+struct Trail {
+    inline: [usize; TRAIL_INLINE],
+    len: usize,
+    spill: Vec<usize>,
+}
+
+impl Trail {
+    fn new() -> Trail {
+        Trail { inline: [0; TRAIL_INLINE], len: 0, spill: Vec::new() }
+    }
+
+    fn push(&mut self, id: usize) {
+        if self.len < TRAIL_INLINE {
+            self.inline[self.len] = id;
+        } else {
+            self.spill.push(id);
+        }
+        self.len += 1;
+    }
+
+    /// Unbind every recorded variable and empty the trail.
+    fn undo(&mut self, binding: &mut Binding) {
+        for &id in self.inline[..self.len.min(TRAIL_INLINE)].iter().chain(&self.spill) {
+            binding[id] = None;
+        }
+        self.len = 0;
+        self.spill.clear();
     }
 }
 
 /// Recursive join over the compiled literal order. Calls `emit` for every
-/// satisfying binding.
+/// satisfying binding. `key` is scratch space for probe keys and negation
+/// checks, reused at every depth: a probe's rows never borrow from it.
 fn join(
     cr: &CompiledRule,
     ctx: &EvalCtx,
     depth: usize,
     binding: &mut Binding,
+    key: &mut Vec<Value>,
     emit: &mut dyn FnMut(&Binding) -> Result<()>,
 ) -> Result<()> {
     if depth == cr.order.len() {
@@ -1443,18 +1611,18 @@ fn join(
         Literal::Pos(atom) => {
             let sel = ctx.source_for(cr, lit_idx);
             let cols = &cr.bound_positions[depth];
-            let key: Tuple = cols
-                .iter()
-                .map(|&p| resolve(&atom.terms[p], binding).expect("bound position must resolve"))
-                .collect();
-            let rows = ctx.candidates(&sel, &atom.pred, cols, &key);
+            key.clear();
+            key.extend(cols.iter().map(|&p| {
+                resolve(&atom.terms[p], binding).expect("bound position must resolve")
+            }));
+            let rows = ctx.candidates(&sel, &atom.pred, cols, key);
             let facts = sel.db.facts(&atom.pred);
+            let mut trail = Trail::new();
             for row in rows {
                 let fact = &facts[row];
                 if fact.arity() != atom.terms.len() {
                     continue;
                 }
-                let mut trail: Vec<usize> = Vec::new();
                 let mut ok = true;
                 for (t, v) in atom.terms.iter().zip(fact.iter()) {
                     match t {
@@ -1479,28 +1647,25 @@ fn join(
                     }
                 }
                 if ok {
-                    join(cr, ctx, depth + 1, binding, emit)?;
+                    join(cr, ctx, depth + 1, binding, key, emit)?;
                 }
-                for id in trail {
-                    binding[id] = None;
-                }
+                trail.undo(binding);
             }
             Ok(())
         }
         Literal::Neg(atom) => {
-            let t: Option<Tuple> = atom
-                .terms
-                .iter()
-                .map(|t| resolve(t, binding))
-                .collect();
-            let Some(t) = t else {
-                return Err(VadaError::Eval(format!(
-                    "unbound variable in negated atom `{atom}` of rule `{}`",
-                    cr.rule
-                )));
-            };
-            if !ctx.db.contains(&atom.pred, &t) {
-                join(cr, ctx, depth + 1, binding, emit)?;
+            key.clear();
+            for t in &atom.terms {
+                let Some(v) = resolve(t, binding) else {
+                    return Err(VadaError::Eval(format!(
+                        "unbound variable in negated atom `{atom}` of rule `{}`",
+                        cr.rule
+                    )));
+                };
+                key.push(v);
+            }
+            if !ctx.db.contains(&atom.pred, key.as_slice()) {
+                join(cr, ctx, depth + 1, binding, key, emit)?;
             }
             Ok(())
         }
@@ -1512,7 +1677,7 @@ fn join(
                     let lv = eval_expr(l, binding)?;
                     let rv = eval_expr(r, binding)?;
                     if apply_cmp(*op, &lv, &rv) {
-                        join(cr, ctx, depth + 1, binding, emit)?;
+                        join(cr, ctx, depth + 1, binding, key, emit)?;
                     }
                     Ok(())
                 }
@@ -1525,7 +1690,7 @@ fn join(
                     };
                     let lv = eval_expr(l, binding)?;
                     binding[var] = Some(lv);
-                    join(cr, ctx, depth + 1, binding, emit)?;
+                    join(cr, ctx, depth + 1, binding, key, emit)?;
                     binding[var] = None;
                     Ok(())
                 }
@@ -1538,7 +1703,7 @@ fn join(
                     };
                     let rv = eval_expr(r, binding)?;
                     binding[var] = Some(rv);
-                    join(cr, ctx, depth + 1, binding, emit)?;
+                    join(cr, ctx, depth + 1, binding, key, emit)?;
                     binding[var] = None;
                     Ok(())
                 }
@@ -1732,6 +1897,22 @@ mod tests {
     }
 
     #[test]
+    fn wide_atoms_spill_the_trail_and_unbind_every_variable() {
+        // 40 variables bound per row overflow the trail's stack buffer;
+        // the second row binds correctly only if every one was unbound
+        let vars: Vec<String> = (0..40).map(|i| format!("X{i}")).collect();
+        let row = |base: i64| (base..base + 40).map(|v| v.to_string()).collect::<Vec<_>>();
+        let src = format!(
+            "w({}). w({}). q(X0, X39) :- w({}).",
+            row(0).join(", "),
+            row(100).join(", "),
+            vars.join(", ")
+        );
+        let db = run(&src);
+        assert_eq!(db.facts("q"), &[tuple![0, 39], tuple![100, 139]]);
+    }
+
+    #[test]
     fn union_rules() {
         let db = run(r#"
             r1("a"). r2("b"). r2("a").
@@ -1795,6 +1976,40 @@ mod tests {
     }
 
     #[test]
+    fn extend_from_resolves_collision_chains_with_the_stored_hashes() {
+        // two overlapping halves of 600 facts under eight-bit hashes: every
+        // appended fact lands on an occupied chain, and a fact already in
+        // the target must be found along its chain, not appended twice
+        let facts: Vec<Tuple> = (0..600i64).map(|i| tuple![i, format!("v{}", i % 7)]).collect();
+        let mut fs = FactSet::default();
+        for t in facts.iter().take(400).step_by(2) {
+            fs.insert(t.clone());
+        }
+        let mut other = FactSet::default();
+        for t in facts.iter().skip(100) {
+            other.insert(t.clone());
+        }
+        let mut expected = fs.clone();
+        for t in other.tuples() {
+            expected.insert(t.clone());
+        }
+        fs.extend_from(&other);
+        assert_eq!(fs.tuples(), expected.tuples());
+        assert_eq!(fs.hashes, expected.hashes);
+        for t in &facts {
+            assert_eq!(fs.contains(t), expected.contains(t), "membership of {t}");
+        }
+        for t in other.tuples() {
+            assert!(!fs.insert(t.clone()), "duplicate {t} accepted");
+        }
+        assert!(!fs.contains(&tuple![600, "v5"]));
+        // the extended set keeps working: removal rebuilds its chains
+        assert!(fs.remove(&facts[150]));
+        assert!(!fs.contains(&facts[150]));
+        assert!(fs.contains(&facts[151]));
+    }
+
+    #[test]
     fn shrunk_then_regrown_predicate_is_reindexed() {
         // regression: `covered` used to be treated as an append-only
         // watermark, so a predicate that shrank and regrew to the same
@@ -1807,16 +2022,16 @@ mod tests {
         let mut store = IndexStore::default();
         store.register("e", &[0]);
         store.refresh(&db, None).unwrap();
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![3]), Some(vec![2]));
+        assert_eq!(store.lookup(&db, "e", &[0], tuple![3].values()), Some(&[2][..]));
 
         // shrink by one row, regrow to the same length with a new row:
         // facts are now [(1,10), (3,30), (4,40)] — same length as covered
         db.remove("e", &tuple![2, 20]);
         db.insert("e", tuple![4, 40]);
         store.refresh(&db, None).unwrap();
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![3]), Some(vec![1]));
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![4]), Some(vec![2]));
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![2]), Some(vec![]));
+        assert_eq!(store.lookup(&db, "e", &[0], tuple![3].values()), Some(&[1][..]));
+        assert_eq!(store.lookup(&db, "e", &[0], tuple![4].values()), Some(&[2][..]));
+        assert_eq!(store.lookup(&db, "e", &[0], tuple![2].values()), Some(&[][..]));
 
         // the observable symptom: an indexed join must match a scan-join
         let program = parse_program("q(Y) :- e(4, Y).").unwrap();
@@ -1824,7 +2039,7 @@ mod tests {
         let engine = Engine::default();
         let scan = engine.eval_rule(&cr, &db, None).unwrap();
         let indexed = engine.eval_rule_with(&cr, &db, None, Some(&store)).unwrap();
-        assert_eq!(scan, vec![("q".to_string(), tuple![40])]);
+        assert_eq!(scan, vec![tuple![40]]);
         assert_eq!(indexed, scan);
 
         // clear-and-reinsert to the same length (the dependency-view
@@ -1834,8 +2049,8 @@ mod tests {
             db.insert("e", tuple![a, b]);
         }
         store.refresh(&db, None).unwrap();
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![8]), Some(vec![1]));
-        assert_eq!(store.lookup(&db, "e", &[0], &tuple![3]), Some(vec![]));
+        assert_eq!(store.lookup(&db, "e", &[0], tuple![8].values()), Some(&[1][..]));
+        assert_eq!(store.lookup(&db, "e", &[0], tuple![3].values()), Some(&[][..]));
     }
 
     #[test]
@@ -1851,11 +2066,11 @@ mod tests {
         store.register("p", &[0]);
         store.refresh(&db, None).unwrap();
         db.remove("p", &tuple![1]);
-        assert_eq!(store.lookup(&db, "p", &[0], &tuple![2]), None);
+        assert_eq!(store.lookup(&db, "p", &[0], tuple![2].values()), None);
         db.insert("p", tuple![3]);
-        assert_eq!(store.lookup(&db, "p", &[0], &tuple![2]), None);
+        assert_eq!(store.lookup(&db, "p", &[0], tuple![2].values()), None);
         store.refresh(&db, None).unwrap();
-        assert_eq!(store.lookup(&db, "p", &[0], &tuple![2]), Some(vec![0]));
+        assert_eq!(store.lookup(&db, "p", &[0], tuple![2].values()), Some(&[0][..]));
     }
 
     #[test]
@@ -1924,7 +2139,7 @@ mod tests {
                     .unwrap(),
             );
         }
-        assert_eq!(destroyed, vec![("q".to_string(), tuple![2])]);
+        assert_eq!(destroyed, vec![tuple![2]]);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 //! with an independently computed reference closure, positive programs must
 //! be monotone in their input, and evaluation must be deterministic.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use vada_common::obs::key as obs_key;
@@ -167,6 +169,105 @@ proptest! {
             prop_assert!(copy.remove(first));
             prop_assert!(fs.contains(first));
         }
+    }
+
+    #[test]
+    fn extend_from_matches_one_by_one_inserts(
+        first in proptest::collection::vec(0u8..30, 0..40),
+        second in proptest::collection::vec(0u8..30, 0..40)
+    ) {
+        let mut fs = FactSet::default();
+        let mut model: Vec<Tuple> = Vec::new();
+        let mut other = FactSet::default();
+        for &v in &first {
+            fs.insert(script_fact(v));
+            if !model.contains(&script_fact(v)) {
+                model.push(script_fact(v));
+            }
+        }
+        for &v in &second {
+            other.insert(script_fact(v));
+        }
+        let mut db = Database::new();
+        for t in fs.tuples() {
+            db.insert("p", t.clone());
+        }
+        fs.extend_from(&other);
+        for t in other.tuples() {
+            if !model.contains(t) {
+                model.push(t.clone());
+            }
+        }
+        prop_assert_eq!(fs.tuples(), model.as_slice());
+        for v in 0..30u8 {
+            let t = script_fact(v);
+            prop_assert_eq!(fs.contains(&t), model.contains(&t), "membership of {}", t);
+        }
+        // sharing into a database merges the same way, and leaves the
+        // shared set as it was
+        let other = Arc::new(other);
+        let before = other.tuples().to_vec();
+        db.share_fact_set("p", &other);
+        prop_assert_eq!(db.facts("p"), model.as_slice());
+        prop_assert_eq!(other.tuples(), before.as_slice());
+        prop_assert_eq!(db.epoch("p"), 0);
+    }
+
+    #[test]
+    fn shared_fact_sets_are_copy_on_write(
+        base in proptest::collection::vec(0u8..30, 0..40),
+        writes in proptest::collection::vec((0u8..5, 0u8..30), 1..30)
+    ) {
+        // one fact set held by a pool, shared into `a`; `b` is a clone of
+        // `a`. Writes to `b` must leave the pool and `a` untouched.
+        let mut pool = FactSet::default();
+        for &v in &base {
+            pool.insert(script_fact(v));
+        }
+        let pool = Arc::new(pool);
+        let mut a = Database::new();
+        a.share_fact_set("p", &pool);
+        a.insert("q", tuple![1]);
+        let snapshot = pool.tuples().to_vec();
+        let mut b = a.clone();
+        let mut model = snapshot.clone();
+        for &(kind, v) in &writes {
+            let t = script_fact(v);
+            match kind {
+                0 | 1 => {
+                    if !model.contains(&t) {
+                        model.push(t.clone());
+                    }
+                    b.insert("p", t);
+                }
+                2 => {
+                    model.retain(|x| *x != t);
+                    b.remove("p", &t);
+                }
+                3 => {
+                    let gone: std::collections::HashSet<Tuple> =
+                        [v, v.wrapping_add(3) % 30].into_iter().map(script_fact).collect();
+                    model.retain(|x| !gone.contains(x));
+                    b.remove_facts("p", &gone);
+                }
+                _ => {
+                    model.clear();
+                    b.clear_predicate("p");
+                }
+            }
+            prop_assert_eq!(b.facts("p"), model.as_slice());
+        }
+        prop_assert_eq!(pool.tuples(), snapshot.as_slice());
+        prop_assert_eq!(a.facts("p"), snapshot.as_slice());
+        prop_assert_eq!(a.facts("q"), &[tuple![1]]);
+        prop_assert_eq!(a.epoch("p"), 0);
+        for &v in &base {
+            prop_assert!(a.contains("p", &script_fact(v)));
+        }
+        // writing `a` afterwards still leaves the pool alone
+        a.insert("p", tuple![99]);
+        a.remove("p", &tuple![99]);
+        prop_assert_eq!(pool.tuples(), snapshot.as_slice());
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Mapping execution: run the Vadalog program against the source
 //! relations and coerce the answers into the typed target schema.
 
+use std::collections::HashMap;
+use std::sync::Arc;
+
 use vada_common::obs::{key as obs_key, Obs};
 use vada_common::{
     par, AttrType, Parallelism, QueryCaching, Relation, Result, Schema, Sharding, Tuple,
@@ -8,7 +11,7 @@ use vada_common::{
 };
 use vada_datalog::ast::{Atom, HeadTerm, Literal, Rule, Term};
 use vada_datalog::cache::IndexCache;
-use vada_datalog::engine::{Database, Engine, EngineConfig};
+use vada_datalog::engine::{Database, Engine, EngineConfig, FactSet};
 use vada_datalog::parse_program;
 use vada_kb::{KnowledgeBase, MappingDef, ShardedStore};
 
@@ -79,55 +82,147 @@ pub fn coerce_value(v: &Value, ty: AttrType) -> Value {
     }
 }
 
+/// The predicate of the helper facts every mapping input carries.
+pub(crate) const POSTCODE_DISTRICT: &str = "postcode_district";
+
 /// The `postcode_district(full, district)` helper facts one row
-/// contributes, in value order. The single definition of the helper-fact
-/// condition: the incremental delta planner must mirror the scratch input
-/// construction exactly, so both paths call this.
-pub(crate) fn district_facts(row: &Tuple) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for v in row.iter() {
-        if let Value::Str(s) = v {
-            if let Some(d) = district_of(s) {
-                if s.contains(' ') {
-                    out.push((s.to_string(), d.to_string()));
-                }
-            }
-        }
-    }
-    out
+/// contributes, in value order; `full` shares the cell's string. The
+/// single definition of the helper-fact condition: the incremental delta
+/// planner must mirror the scratch input construction exactly, so both
+/// paths call this.
+pub(crate) fn district_facts(row: &Tuple) -> impl Iterator<Item = (Value, Value)> + '_ {
+    row.iter().filter_map(|v| {
+        let Value::Str(s) = v else {
+            return None;
+        };
+        let district = district_of(s)?;
+        s.contains(' ').then(|| (v.clone(), Value::str(district)))
+    })
 }
 
-/// Build the execution database: the mapping's source relations plus
-/// `postcode_district(full, district)` helper facts derived from every
-/// postcode-shaped value in those relations.
-pub(crate) fn build_input_db(mapping: &MappingDef, kb: &KnowledgeBase) -> Result<Database> {
-    let mut db = Database::new();
-    for source in &mapping.sources {
-        let rel = kb.relation(source)?;
-        db.insert_relation(rel);
+/// The version stamp a [`MappingInputs`] pool is valid for: the journal
+/// lineage and the versions of every aspect a relation can change under.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct KbStamp {
+    lineage: u64,
+    versions: [u64; 3],
+}
+
+impl KbStamp {
+    fn of(kb: &KnowledgeBase) -> KbStamp {
+        KbStamp {
+            lineage: kb.journal().lineage(),
+            versions: ["relations", "intermediates", "result"].map(|a| kb.aspect_version(a)),
+        }
+    }
+}
+
+/// One source relation as engine facts: its rows, and the
+/// `postcode_district` helper facts of its values.
+#[derive(Debug)]
+struct SourceFacts {
+    rows: Arc<FactSet>,
+    districts: Arc<FactSet>,
+}
+
+/// Mapping inputs built once and shared. Each distinct source relation
+/// is turned into fact sets on first use (`map.input.scans` counts these
+/// scans), and every later mapping over it shares them copy-on-write: a
+/// mapping whose rules derive into a source predicate copies that set in
+/// its own database and leaves the pool untouched. A pool is valid for one
+/// knowledge-base state: it empties itself when the journal lineage or the
+/// `relations`, `intermediates` or `result` aspect version moves.
+///
+/// [`vada_map::execute_mapping_cached`](crate::execute_mapping_cached)
+/// takes a pool, so a caller executing several mappings against an
+/// unchanged knowledge base (a quality round over the candidates) scans
+/// each source once; the other entry points use a throwaway pool.
+#[derive(Debug, Default)]
+pub struct MappingInputs {
+    stamp: Option<KbStamp>,
+    sources: HashMap<String, SourceFacts>,
+}
+
+impl MappingInputs {
+    /// An empty pool.
+    pub fn new() -> MappingInputs {
+        MappingInputs::default()
+    }
+
+    /// The execution database of `mapping`: its source relations plus the
+    /// `postcode_district(full, district)` helper facts of every
+    /// postcode-shaped value in them, merged in source order. Facts and
+    /// insertion order equal inserting each source's rows and then its
+    /// helper facts, source by source.
+    pub(crate) fn database(
+        &mut self,
+        mapping: &MappingDef,
+        kb: &KnowledgeBase,
+        obs: &Obs,
+    ) -> Result<Database> {
+        let stamp = KbStamp::of(kb);
+        if self.stamp != Some(stamp) {
+            self.sources.clear();
+            self.stamp = Some(stamp);
+        }
+        let mut db = Database::new();
+        for source in &mapping.sources {
+            if !self.sources.contains_key(source) {
+                let rel = kb.relation(source)?;
+                obs.incr(obs_key::MAP_INPUT_SCANS);
+                self.sources.insert(source.clone(), SourceFacts::scan(rel));
+            }
+            let facts = &self.sources[source];
+            db.share_fact_set(source, &facts.rows);
+            if !facts.districts.is_empty() {
+                db.share_fact_set(POSTCODE_DISTRICT, &facts.districts);
+            }
+        }
+        Ok(db)
+    }
+}
+
+impl SourceFacts {
+    fn scan(rel: &Relation) -> SourceFacts {
+        let mut rows = FactSet::default();
+        let mut districts = FactSet::default();
         for t in rel.iter() {
+            rows.insert(t.clone());
             for (full, district) in district_facts(t) {
-                db.insert(
-                    "postcode_district",
-                    Tuple::new(vec![Value::str(full), Value::str(district)]),
-                );
+                districts.insert(Tuple::new(vec![full, district]));
             }
         }
+        SourceFacts { rows: Arc::new(rows), districts: Arc::new(districts) }
     }
-    Ok(db)
 }
 
-/// [`build_input_db`] over sharded scans: the extensional rows load via the
-/// engine's per-shard load, and the `postcode_district` helper scan — the
-/// expensive per-row string analysis — runs one scheduling unit per shard
-/// of the [`ShardedStore`]'s journal-synced views, merged back to canonical
-/// row order before insertion. The resulting database (facts *and*
-/// insertion order) is byte-identical to the monolithic build.
+/// The execution database of `mapping`: from `inputs`, or under
+/// [`Sharding::Shards`] from per-shard scans (see [`sharded_input_db`]).
+pub(crate) fn input_db(
+    cfg: &ExecuteConfig,
+    mapping: &MappingDef,
+    kb: &KnowledgeBase,
+    store: Option<&mut ShardedStore>,
+    inputs: &mut MappingInputs,
+) -> Result<Database> {
+    if cfg.sharding.is_sharded() {
+        sharded_input_db(mapping, kb, cfg.sharding, cfg.engine.parallelism, &cfg.engine.obs, store)
+    } else {
+        inputs.database(mapping, kb, &cfg.engine.obs)
+    }
+}
+
+/// The execution database over sharded scans: the `postcode_district`
+/// helper scan — the expensive per-row string analysis — runs one
+/// scheduling unit per shard of the [`ShardedStore`]'s journal-synced
+/// views, merged back to canonical row order before insertion. The
+/// resulting database (facts *and* insertion order) is byte-identical to
+/// [`MappingInputs::database`].
 ///
 /// Callers that execute repeatedly pass their persistent `store` so the
 /// views sync O(change) from the delta journal between runs; `None` builds
 /// an ephemeral store (one repartition, no reuse).
-pub(crate) fn build_input_db_with(
+fn sharded_input_db(
     mapping: &MappingDef,
     kb: &KnowledgeBase,
     sharding: Sharding,
@@ -135,9 +230,6 @@ pub(crate) fn build_input_db_with(
     obs: &Obs,
     store: Option<&mut ShardedStore>,
 ) -> Result<Database> {
-    if !sharding.is_sharded() {
-        return build_input_db(mapping, kb);
-    }
     let mut ephemeral;
     let store = match store {
         Some(s) => s,
@@ -171,17 +263,15 @@ pub(crate) fn build_input_db_with(
                 Ok(view
                     .shard(s)
                     .iter()
-                    .map(|t| (t.clone(), district_facts(t)))
+                    .map(|t| (t.clone(), district_facts(t).collect::<Vec<_>>()))
                     .collect::<Vec<_>>())
             },
         )?;
+        obs.incr(obs_key::MAP_INPUT_SCANS);
         for (row, row_facts) in view.merge_scan(per_shard) {
             db.insert(source, row);
             for (full, district) in row_facts {
-                db.insert(
-                    "postcode_district",
-                    Tuple::new(vec![Value::str(full), Value::str(district)]),
-                );
+                db.insert(POSTCODE_DISTRICT, Tuple::new(vec![full, district]));
             }
         }
     }
@@ -199,7 +289,7 @@ pub fn execute_mapping(
 
 /// [`execute_mapping`] with an optional persistent [`ShardedStore`]: under
 /// [`Sharding::Shards`] the input database is built from per-shard scans
-/// of the store's journal-synced views (see [`build_input_db_with`]); the
+/// of the store's journal-synced views (see [`sharded_input_db`]); the
 /// result is byte-identical either way.
 pub fn execute_mapping_with(
     cfg: &ExecuteConfig,
@@ -207,7 +297,7 @@ pub fn execute_mapping_with(
     kb: &KnowledgeBase,
     store: Option<&mut ShardedStore>,
 ) -> Result<Relation> {
-    execute_mapping_impl(cfg, mapping, kb, store, None)
+    execute_mapping_impl(cfg, mapping, kb, store, None, &mut MappingInputs::new())
 }
 
 /// [`execute_mapping_with`] with a caller-held persistent [`IndexCache`]:
@@ -217,15 +307,19 @@ pub fn execute_mapping_with(
 /// indexes are reused only at an unchanged `(lineage, version)`, where the
 /// input database this call builds is byte-identical to the one they
 /// cover; any other identity drops them (`magic.cache.*` counters record
-/// the outcome). The result is byte-identical to the uncached call.
+/// the outcome). Outside [`Sharding::Shards`] the input database comes from
+/// the caller's [`MappingInputs`] pool, so a caller executing several
+/// mappings against one knowledge-base state scans each source once. The
+/// result is byte-identical to the uncached call.
 pub fn execute_mapping_cached(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     kb: &KnowledgeBase,
     store: Option<&mut ShardedStore>,
     cache: &mut IndexCache,
+    inputs: &mut MappingInputs,
 ) -> Result<Relation> {
-    execute_mapping_impl(cfg, mapping, kb, store, Some(cache))
+    execute_mapping_impl(cfg, mapping, kb, store, Some(cache), inputs)
 }
 
 fn execute_mapping_impl(
@@ -234,6 +328,7 @@ fn execute_mapping_impl(
     kb: &KnowledgeBase,
     store: Option<&mut ShardedStore>,
     cache: Option<&mut IndexCache>,
+    inputs: &mut MappingInputs,
 ) -> Result<Relation> {
     let target: &Schema = kb
         .target_schema()
@@ -251,14 +346,7 @@ fn execute_mapping_impl(
     let span = cfg.engine.obs.span("map/execute");
     span.attr("mapping", &mapping.id);
     span.attr("target", &mapping.target);
-    let input = build_input_db_with(
-        mapping,
-        kb,
-        cfg.sharding,
-        cfg.engine.parallelism,
-        &cfg.engine.obs,
-        store,
-    )?;
+    let input = input_db(cfg, mapping, kb, store, inputs)?;
     let engine = Engine::new(cfg.engine.clone());
     // A mapping run demands its *entire* target relation — an all-free
     // access pattern — so under QueryMode::Directed the magic rewrite
@@ -468,13 +556,14 @@ mod tests {
         cfg.engine.query_mode = QueryMode::Directed;
         cfg.engine.obs = obs.clone();
         let mut cache = IndexCache::new();
+        let mut inputs = MappingInputs::new();
 
-        let cold = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache).unwrap();
+        let cold = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache, &mut inputs).unwrap();
         assert_eq!(obs.get(obs_key::MAGIC_CACHE_MISSES), 1);
         let builds_after_cold = obs.get(obs_key::INDEX_BUILDS);
 
         // unchanged kb: warm reuse, byte-identical result, zero new builds
-        let warm = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache).unwrap();
+        let warm = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache, &mut inputs).unwrap();
         assert_eq!(warm.tuples(), cold.tuples());
         assert_eq!(obs.get(obs_key::MAGIC_CACHE_HITS), 1);
         assert_eq!(obs.get(obs_key::INDEX_BUILDS), builds_after_cold);
@@ -484,10 +573,157 @@ mod tests {
         let mut grown = kb.relation("deprivation").unwrap().clone();
         grown.push(tuple!["EH1", "900"]).unwrap();
         kb.register_source(grown);
-        let edited = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache).unwrap();
+        let edited = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache, &mut inputs).unwrap();
         assert_eq!(obs.get(obs_key::MAGIC_CACHE_MISSES), 2);
         let plain = execute_mapping_with(&cfg, &m, &kb, None).unwrap();
         assert_eq!(edited.tuples(), plain.tuples());
+    }
+
+    /// A deterministic generator for the seeded differential test.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// Sources `a(price, street, postcode)` and `b(street, postcode, beds)`
+    /// drawing postcodes from one small pool (so they share postcodes and
+    /// repeat rows), and `c(district, crime)` whose values are never
+    /// postcode-shaped.
+    fn random_kb(seed: u64) -> KnowledgeBase {
+        const POSTCODES: [&str; 6] = ["M1 1AA", "M1 2BB", "EH1 1AA", "EH8 9AB", "n/a", "M13"];
+        let mut rng = Lcg(seed);
+        let postcode = |rng: &mut Lcg| match rng.below(7) {
+            6 => Value::Null,
+            i => Value::str(POSTCODES[i as usize]),
+        };
+        let mut kb = KnowledgeBase::new();
+        let mut a = Relation::empty(Schema::all_str("a", &["price", "street", "postcode"]));
+        for _ in 0..4 + rng.below(12) {
+            let street = Value::str(format!("{} high st", rng.below(6)));
+            let price = Value::str(format!("£{},000", 100 + rng.below(3)));
+            a.push(Tuple::new(vec![price, street, postcode(&mut rng)])).unwrap();
+        }
+        let mut b = Relation::empty(Schema::all_str("b", &["street", "postcode", "beds"]));
+        for _ in 0..4 + rng.below(12) {
+            let street = Value::str(format!("{} park rd", rng.below(6)));
+            b.push(Tuple::new(vec![street, postcode(&mut rng), Value::Int(rng.below(4) as i64)]))
+                .unwrap();
+        }
+        let mut c = Relation::empty(Schema::all_str("c", &["district", "crime"]));
+        for d in ["M1", "EH8", "LS2"] {
+            c.push(Tuple::new(vec![Value::str(d), Value::Int(rng.below(900) as i64)])).unwrap();
+        }
+        kb.register_source(a);
+        kb.register_source(b);
+        kb.register_source(c);
+        kb.register_target_schema(
+            Schema::new(
+                "property",
+                [
+                    ("street", AttrType::Str),
+                    ("postcode", AttrType::Str),
+                    ("price", AttrType::Int),
+                    ("crimerank", AttrType::Int),
+                ],
+            )
+            .unwrap(),
+        );
+        kb
+    }
+
+    /// The input database built the straightforward way: each source's
+    /// rows, then its helper facts, inserted one by one in source order.
+    fn reference_input(m: &MappingDef, kb: &KnowledgeBase) -> Database {
+        let mut db = Database::new();
+        for source in &m.sources {
+            let rel = kb.relation(source).unwrap();
+            db.insert_relation(rel);
+            for t in rel.iter() {
+                for (full, district) in district_facts(t) {
+                    db.insert(POSTCODE_DISTRICT, Tuple::new(vec![full, district]));
+                }
+            }
+        }
+        db
+    }
+
+    /// Every predicate's facts, in insertion order, as debug text.
+    fn dump(db: &Database) -> Vec<String> {
+        db.predicates().iter().map(|p| format!("{p}: {:?}", db.facts(p))).collect()
+    }
+
+    #[test]
+    fn pooled_inputs_match_fresh_and_sharded_execution() {
+        let district_join = "
+            property(S, PC, P, C) :- a(P, S, PC), postcode_district(PC, D), c(D, C).
+            property(S, PC, P, null) :- a(P, S, PC), not has_crime(PC).
+            has_crime(PC) :- postcode_district(PC, D), c(D, _).";
+        let mappings = [
+            mapping("property(S, PC, P, null) :- a(P, S, PC).", &["a"]),
+            mapping(
+                "property(S, PC, P, null) :- a(P, S, PC).
+                 property(S, PC, null, null) :- b(S, PC, _).",
+                &["a", "b"],
+            ),
+            mapping(district_join, &["a", "c"]),
+            // a repeated source, and the sources in another order
+            mapping(district_join, &["c", "a", "c", "a"]),
+            // rules deriving into a source and into the helper predicate:
+            // the shared sets are copied in this mapping's database only
+            mapping(
+                "a(P, S, PC) :- b(S, PC, P).
+                 postcode_district(S, S) :- b(S, _, _).
+                 property(S, PC, P, C) :- a(P, S, PC), postcode_district(PC, D), c(D, C).",
+                &["b", "a", "c"],
+            ),
+            mapping("property(S, PC, P, null) :- a(P, S, PC).", &["a"]),
+        ];
+        let csv = |r: &Relation| vada_common::csv::write_relation(r);
+        for seed in 0..12 {
+            let mut kb = random_kb(seed);
+            let obs = Obs::enabled();
+            let mut pooled_cfg = ExecuteConfig { sharding: Sharding::Off, ..Default::default() };
+            pooled_cfg.engine.obs = obs.clone();
+            let fresh_cfg = ExecuteConfig { sharding: Sharding::Off, ..Default::default() };
+            let sharded_cfg = ExecuteConfig { sharding: Sharding::Shards(4), ..Default::default() };
+            let mut inputs = MappingInputs::new();
+            for round in 0..2u64 {
+                for m in &mappings {
+                    let ctx = format!("seed {seed}, round {round}, sources {:?}", m.sources);
+                    let want = dump(&reference_input(m, &kb));
+                    assert_eq!(dump(&inputs.database(m, &kb, &obs).unwrap()), want, "{ctx}");
+                    let pooled = execute_mapping_cached(
+                        &pooled_cfg,
+                        m,
+                        &kb,
+                        None,
+                        &mut IndexCache::new(),
+                        &mut inputs,
+                    )
+                    .unwrap();
+                    let fresh = execute_mapping(&fresh_cfg, m, &kb).unwrap();
+                    let sharded = execute_mapping(&sharded_cfg, m, &kb).unwrap();
+                    assert_eq!(csv(&pooled), csv(&fresh), "{ctx}");
+                    assert_eq!(csv(&sharded), csv(&fresh), "{ctx}");
+                    // the pool is untouched by what the mapping derived
+                    let pool = inputs.database(m, &kb, &Obs::disabled()).unwrap();
+                    assert_eq!(dump(&pool), want, "{ctx}");
+                }
+                // one scan per distinct source and round: the edit below
+                // empties the pool
+                assert_eq!(obs.get(obs_key::MAP_INPUT_SCANS), 3 * (round + 1), "seed {seed}");
+                let row = Tuple::new(vec![
+                    Value::str("£999,000"),
+                    Value::str(format!("edited {round}")),
+                    Value::str("EH8 9AB"),
+                ]);
+                kb.update_source("a", &[(0, row)]).unwrap();
+            }
+        }
     }
 
     #[test]

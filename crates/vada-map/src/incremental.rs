@@ -63,7 +63,9 @@ use vada_common::{Relation, Result, Schema, Tuple, VadaError, Value};
 use vada_datalog::incremental::{DeltaMode, IncrementalSession};
 use vada_kb::{DeltaChange, DeltaEvent, KnowledgeBase, MappingDef};
 
-use crate::execute::{build_input_db_with, coerce_fact, district_facts, ExecuteConfig};
+use crate::execute::{
+    coerce_fact, district_facts, input_db, ExecuteConfig, MappingInputs, POSTCODE_DISTRICT,
+};
 
 /// Cap on retained sessions; the least recently used is evicted beyond it.
 pub const DEFAULT_SESSION_CAPACITY: usize = 16;
@@ -100,7 +102,7 @@ struct MappingSession {
     /// predicate is shared across sources, so whether an appended row's
     /// helper fact keeps (or can take) its scratch position depends on
     /// where earlier occurrences live — see `plan_delta`.
-    districts: HashMap<String, usize>,
+    districts: HashMap<Value, usize>,
     /// Highest first-occurrence source index present in `districts`.
     max_district_source: usize,
     /// Row multiplicity per `(source index, tuple)`: relations are bags
@@ -109,11 +111,11 @@ struct MappingSession {
     mult: HashMap<(usize, Tuple), u32>,
     /// Contributing-row count per full postcode: the `postcode_district`
     /// helper fact is retracted when its last contributor disappears.
-    district_support: HashMap<String, usize>,
+    district_support: HashMap<Value, usize>,
     /// The row that first contributes each full postcode in the scan — a
     /// removal of any *other* contributor provably keeps the helper
     /// fact's scratch position.
-    district_first: HashMap<String, Tuple>,
+    district_first: HashMap<Value, Tuple>,
 }
 
 /// A fleet of [`IncrementalSession`]s keyed by mapping structure. See the
@@ -166,11 +168,11 @@ enum PlannedOp {
 /// construction.
 struct PlannedDelta {
     ops: Vec<PlannedOp>,
-    districts: HashMap<String, usize>,
+    districts: HashMap<Value, usize>,
     max_source: usize,
     mult: HashMap<(usize, Tuple), u32>,
-    district_support: HashMap<String, usize>,
-    district_first: HashMap<String, Tuple>,
+    district_support: HashMap<Value, usize>,
+    district_first: HashMap<Value, Tuple>,
 }
 
 impl PlannedDelta {
@@ -219,10 +221,7 @@ impl PlannedDelta {
                 self.districts.insert(full.clone(), src_idx);
                 self.district_first.insert(full.clone(), row.clone());
                 self.max_source = self.max_source.max(src_idx);
-                self.push_append(
-                    "postcode_district".into(),
-                    Tuple::new(vec![Value::str(full), Value::str(district)]),
-                );
+                self.push_append(POSTCODE_DISTRICT.into(), Tuple::new(vec![full, district]));
             }
         }
         *self.mult.entry((src_idx, row.clone())).or_insert(0) += 1;
@@ -261,10 +260,7 @@ impl PlannedDelta {
                 self.districts.remove(&full);
                 self.district_first.remove(&full);
                 self.max_source = self.districts.values().copied().max().unwrap_or(0);
-                self.push_retract(
-                    "postcode_district".into(),
-                    Tuple::new(vec![Value::str(full), Value::str(district)]),
-                );
+                self.push_retract(POSTCODE_DISTRICT.into(), Tuple::new(vec![full, district]));
             } else if self.district_first.get(&full) == Some(row) {
                 // survivors exist but the removed row matches the first
                 // contribution: the fact's scratch position may move
@@ -532,20 +528,13 @@ impl IncrementalExecutor {
         kb: &KnowledgeBase,
         store: Option<&mut vada_kb::ShardedStore>,
     ) -> Result<Relation> {
-        let input = build_input_db_with(
-            mapping,
-            kb,
-            cfg.sharding,
-            cfg.engine.parallelism,
-            &cfg.engine.obs,
-            store,
-        )?;
+        let input = input_db(cfg, mapping, kb, store, &mut MappingInputs::new())?;
         // first-occurrence source index and contributor count per helper
-        // fact, and row multiplicities, in the same scan order
-        // build_input_db uses
-        let mut districts: HashMap<String, usize> = HashMap::new();
-        let mut district_support: HashMap<String, usize> = HashMap::new();
-        let mut district_first: HashMap<String, Tuple> = HashMap::new();
+        // fact, and row multiplicities, in the same scan order the input
+        // build uses
+        let mut districts: HashMap<Value, usize> = HashMap::new();
+        let mut district_support: HashMap<Value, usize> = HashMap::new();
+        let mut district_first: HashMap<Value, Tuple> = HashMap::new();
         let mut mult: HashMap<(usize, Tuple), u32> = HashMap::new();
         let mut max_district_source = 0usize;
         for (src_idx, source) in mapping.sources.iter().enumerate() {

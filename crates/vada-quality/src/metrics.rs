@@ -4,9 +4,10 @@
 //! reference population).
 
 use std::collections::HashSet;
+use std::fmt::Write;
 
-use vada_common::text::normalize;
-use vada_common::{Relation, Result};
+use vada_common::text::normalize_append;
+use vada_common::{Relation, Result, Value};
 use vada_kb::CfdRule;
 
 use crate::violations::{detect_violations, violating_row_count};
@@ -36,6 +37,45 @@ pub fn accuracy_against_reference(
     ReferencePopulation::new(reference, ref_attr)?.accuracy(rel, attr)
 }
 
+/// Reused buffers for the normal form of a cell's rendering, so scoring a
+/// column allocates nothing per cell.
+#[derive(Default)]
+struct NormalForm {
+    rendered: String,
+    normal: String,
+}
+
+impl NormalForm {
+    /// The normal form of `v` as `Display` renders it: a string cell is
+    /// read in place, any other value is rendered into a reused buffer.
+    fn of(&mut self, v: &Value) -> &str {
+        let text = match v {
+            Value::Str(s) => &**s,
+            other => {
+                self.rendered.clear();
+                write!(self.rendered, "{other}").expect("writing to a String cannot fail");
+                &self.rendered
+            }
+        };
+        self.normal.clear();
+        normalize_append(text, &mut self.normal);
+        &self.normal
+    }
+}
+
+/// The normal forms of the non-null values in column `col` of `rel`.
+fn normal_forms(rel: &Relation, col: usize) -> HashSet<String> {
+    let mut buf = NormalForm::default();
+    let mut set = HashSet::new();
+    for t in rel.iter().filter(|t| !t[col].is_null()) {
+        let normal = buf.of(&t[col]);
+        if !set.contains(normal) {
+            set.insert(normal.to_string());
+        }
+    }
+    set
+}
+
 /// The normal forms of a reference column's non-null values: the
 /// population [`accuracy_against_reference`] compares against.
 #[derive(Debug, Clone)]
@@ -45,19 +85,14 @@ impl ReferencePopulation {
     /// Normalize the non-null values of `reference.ref_attr`.
     pub fn new(reference: &Relation, ref_attr: &str) -> Result<ReferencePopulation> {
         let ref_col = reference.schema().require(ref_attr)?;
-        Ok(ReferencePopulation(
-            reference
-                .iter()
-                .filter(|t| !t[ref_col].is_null())
-                .map(|t| normalize(&t[ref_col].to_string()))
-                .collect(),
-        ))
+        Ok(ReferencePopulation(normal_forms(reference, ref_col)))
     }
 
     /// Syntactic accuracy of `rel.attr` against this population; see
     /// [`accuracy_against_reference`].
     pub fn accuracy(&self, rel: &Relation, attr: &str) -> Result<f64> {
         let col = rel.schema().require(attr)?;
+        let mut buf = NormalForm::default();
         let mut total = 0usize;
         let mut hits = 0usize;
         for t in rel.iter() {
@@ -65,7 +100,7 @@ impl ReferencePopulation {
                 continue;
             }
             total += 1;
-            if self.0.contains(&normalize(&t[col].to_string())) {
+            if self.0.contains(buf.of(&t[col])) {
                 hits += 1;
             }
         }
@@ -83,20 +118,19 @@ pub fn master_coverage(
 ) -> Result<f64> {
     let col = rel.schema().require(attr)?;
     let m_col = master.schema().require(master_attr)?;
-    let keys: HashSet<String> = master
-        .iter()
-        .filter(|t| !t[m_col].is_null())
-        .map(|t| normalize(&t[m_col].to_string()))
-        .collect();
+    let keys = normal_forms(master, m_col);
     if keys.is_empty() {
         return Ok(1.0);
     }
-    let present: HashSet<String> = rel
-        .iter()
-        .filter(|t| !t[col].is_null())
-        .map(|t| normalize(&t[col].to_string()))
-        .collect();
-    Ok(keys.intersection(&present).count() as f64 / keys.len() as f64)
+    // the distinct master keys the relation's values hit
+    let mut buf = NormalForm::default();
+    let mut present: HashSet<&str> = HashSet::new();
+    for t in rel.iter().filter(|t| !t[col].is_null()) {
+        if let Some(key) = keys.get(buf.of(&t[col])) {
+            present.insert(key);
+        }
+    }
+    Ok(present.len() as f64 / keys.len() as f64)
 }
 
 #[cfg(test)]
@@ -131,6 +165,22 @@ mod tests {
         assert!((c - 0.75).abs() < 1e-12, "{c}");
         let empty = Relation::empty(Schema::all_str("r", &["pc", "city"]));
         assert_eq!(consistency(&empty, &[fd("pc", "city")]), 1.0);
+    }
+
+    #[test]
+    fn normal_form_matches_normalizing_the_rendering() {
+        let mut buf = NormalForm::default();
+        for v in [
+            Value::str("  12,  High-St. "),
+            Value::Int(-42),
+            Value::Float(2.5),
+            Value::Float(1e21),
+            Value::Bool(true),
+            Value::Null,
+        ] {
+            let want = vada_common::text::normalize(&v.to_string());
+            assert_eq!(buf.of(&v), want, "{v:?}");
+        }
     }
 
     #[test]
