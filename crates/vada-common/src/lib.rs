@@ -33,7 +33,7 @@ pub use obs::{Obs, ObsReport, ObsSink, SpanGuard};
 pub use par::Parallelism;
 pub use querycache::QueryCaching;
 pub use querymode::QueryMode;
-pub use sharding::{HashPartitioner, KeyPartitioner, Partitioner, Sharding};
+pub use sharding::Sharding;
 pub use relation::Relation;
 pub use schema::{AttrType, Attribute, Schema};
 pub use tuple::Tuple;

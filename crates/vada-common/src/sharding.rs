@@ -1,369 +1,12 @@
-//! Sharding primitives: how rows of a relation are partitioned across `N`
-//! shards, and how per-shard results merge back into canonical row order.
+//! The sharding knob, reduced to its one level.
 //!
-//! This module carries the *assignment* half of the sharded-store design
-//! (the store itself lives in `vada-kb`, which depends on this crate):
-//!
-//! - **Pluggable [`Partitioner`]s.** A partitioner is a pure function of a
-//!   tuple's *content* — never of its position, the shard count aside — so
-//!   shard assignment is deterministic across runs and immune to the order
-//!   rows arrive in. [`HashPartitioner`] (the default) hashes the whole
-//!   tuple; [`KeyPartitioner`] hashes the fusion blocking key, so co-blocked
-//!   rows always land in the same shard and per-shard blocking scans see
-//!   every member of every block they own.
-//! - **Stable hashing.** Assignment uses FNV-1a over a stable byte
-//!   rendering of each value ([`stable_tuple_hash`]), not the std hasher:
-//!   shard layout must not change between processes or Rust versions,
-//!   because the differential suites pin "any shard count is byte-identical
-//!   to unsharded" and a layout flip would silently re-route every row.
-//! - **Ordered merge.** [`merge_in_order`] re-interleaves per-shard outputs
-//!   by the assignment sequence, reproducing exactly the row order a
-//!   monolithic scan would have observed. Per-shard scans + ordered merge
-//!   is the whole determinism argument, mirroring `par`'s chunk discipline.
+//! Every scan runs monolithically. [`Sharding`] keeps a single value so
+//! that code written against `Wrangler::set_sharding` and
+//! `Transducer::set_sharding` still compiles; both setters do nothing.
 
-use crate::error::Result;
-use crate::par::{self, Parallelism};
-use crate::text::normalize_append;
-use crate::tuple::Tuple;
-use crate::value::Value;
-
-/// How many shards a knowledge-base scan may be partitioned into.
-///
-/// The default is read from the `VADA_SHARDS` environment variable
-/// (unset, `0`, or `1` mean off), mirroring `VADA_THREADS` /
-/// `VADA_INCREMENTAL`: an operator can shard the whole pipeline without
-/// touching call sites, and the byte-identity guarantee (pinned by the
-/// root `shard_equivalence` differential suite) makes the override safe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The only sharding level: one monolithic store and scan.
+#[derive(Debug, Clone, Copy)]
 pub enum Sharding {
-    /// One monolithic store/scan (the pre-sharding behaviour).
+    /// One monolithic store/scan.
     Off,
-    /// Partition rows across up to `n` shards (clamped to
-    /// [`MAX_SHARDS`]; 0 and 1 behave like [`Sharding::Off`]).
-    Shards(usize),
-}
-
-impl Default for Sharding {
-    fn default() -> Self {
-        Sharding::from_env()
-    }
-}
-
-/// Hard ceiling on shard counts, for the same reason `par::MAX_WORKERS`
-/// exists: an absurd `VADA_SHARDS` must degrade to "many small shards",
-/// never to unbounded per-shard allocations.
-pub const MAX_SHARDS: usize = 1024;
-
-impl Sharding {
-    /// Read the `VADA_SHARDS` override: `>= 2` (under the shared
-    /// [`crate::env`] count rules) selects [`Sharding::Shards`], anything
-    /// else (including unset or unparseable) selects [`Sharding::Off`].
-    pub fn from_env() -> Sharding {
-        match crate::env::count("VADA_SHARDS") {
-            Some(n) if n >= 2 => Sharding::Shards(n),
-            _ => Sharding::Off,
-        }
-    }
-
-    /// Number of shards this level actually produces (at least 1, at most
-    /// [`MAX_SHARDS`]).
-    pub fn shard_count(&self) -> usize {
-        match self {
-            Sharding::Off => 1,
-            Sharding::Shards(n) => (*n).clamp(1, MAX_SHARDS),
-        }
-    }
-
-    /// Whether more than one shard is in play.
-    pub fn is_sharded(&self) -> bool {
-        self.shard_count() > 1
-    }
-}
-
-/// Assigns every tuple to a shard. Implementations must be pure functions
-/// of the tuple's content (and the shard count): assignment may never
-/// depend on row position, prior calls, or ambient state, so that a
-/// journal-maintained sharded view and a fresh repartition of the same
-/// relation are byte-identical.
-pub trait Partitioner {
-    /// Short stable name (for traces and diagnostics).
-    fn name(&self) -> &str;
-
-    /// The shard (in `0..shards`) that owns `tuple`. `shards` is at
-    /// least 1.
-    fn shard_of(&self, tuple: &Tuple, shards: usize) -> usize;
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
-}
-
-fn feed_value(hash: &mut u64, v: &Value) {
-    match v {
-        Value::Null => fnv1a(hash, &[0]),
-        Value::Bool(b) => fnv1a(hash, &[1, *b as u8]),
-        Value::Int(i) => {
-            fnv1a(hash, &[2]);
-            fnv1a(hash, &i.to_le_bytes());
-        }
-        Value::Float(f) => {
-            fnv1a(hash, &[3]);
-            fnv1a(hash, &f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            fnv1a(hash, &[4]);
-            fnv1a(hash, s.as_bytes());
-        }
-    }
-}
-
-/// Stable FNV-1a hash of a whole tuple — identical across processes, OSes
-/// and Rust versions (unlike `DefaultHasher`), which is what makes shard
-/// layouts reproducible.
-pub fn stable_tuple_hash(t: &Tuple) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for v in t.iter() {
-        feed_value(&mut hash, v);
-    }
-    hash
-}
-
-/// Stable FNV-1a hash of a sequence of string fields (e.g. a raw CSV row
-/// before typing), length-prefixed per field so `["ab","c"]` and
-/// `["a","bc"]` hash apart.
-pub fn stable_strs_hash<'a>(fields: impl Iterator<Item = &'a str>) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for f in fields {
-        fnv1a(&mut hash, &(f.len() as u64).to_le_bytes());
-        fnv1a(&mut hash, f.as_bytes());
-    }
-    hash
-}
-
-/// The default partitioner: stable hash of the whole tuple. Equal tuples
-/// always land in the same shard (so bag duplicates co-locate), and the
-/// layout is uniform for distinct rows.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HashPartitioner;
-
-impl Partitioner for HashPartitioner {
-    fn name(&self) -> &str {
-        "hash"
-    }
-
-    fn shard_of(&self, tuple: &Tuple, shards: usize) -> usize {
-        (stable_tuple_hash(tuple) % shards.max(1) as u64) as usize
-    }
-}
-
-/// Build the fusion blocking key of `t` over `cols` into `key` (cleared
-/// first): the normal forms of the non-null key cells joined by `|`.
-/// Returns `false` when every key cell is null (such rows block as
-/// singletons). This is the *single* definition of the blocking key —
-/// `vada_fusion::block_by_keys_with` and [`KeyPartitioner`] both call it,
-/// so co-blocked rows are co-sharded by construction. Columns beyond the
-/// tuple's arity are skipped: a catalog-wide [`KeyPartitioner`] meets
-/// relations of every schema, and a missing key cell behaves like a null
-/// one (the row spreads by whole-tuple hash).
-pub fn blocking_key(t: &Tuple, cols: &[usize], key: &mut String) -> bool {
-    key.clear();
-    let mut any = false;
-    for &c in cols {
-        if c >= t.arity() {
-            continue;
-        }
-        let v = &t[c];
-        if v.is_null() {
-            continue;
-        }
-        if any {
-            key.push('|');
-        }
-        any = true;
-        match v.as_str() {
-            Some(s) => normalize_append(s, key),
-            None => normalize_append(&v.to_string(), key),
-        }
-    }
-    any
-}
-
-/// The shard a precomputed blocking key maps to — the single formula
-/// [`KeyPartitioner`] and key-reusing scans (sharded fusion blocking) both
-/// apply, so a row's shard never depends on which path computed its key.
-pub fn shard_of_key(key: &str, shards: usize) -> usize {
-    let mut hash = FNV_OFFSET;
-    fnv1a(&mut hash, key.as_bytes());
-    (hash % shards.max(1) as u64) as usize
-}
-
-/// The fusion-aware partitioner: shard by the normalised blocking key over
-/// the given columns, so every row of one block lands in one shard and a
-/// per-shard blocking scan owns its blocks completely. Rows whose key
-/// cells are all null (blocking singletons) fall back to the whole-tuple
-/// hash, spreading them uniformly.
-#[derive(Debug, Clone, Default)]
-pub struct KeyPartitioner {
-    /// Column indices of the blocking key attributes.
-    pub cols: Vec<usize>,
-}
-
-impl Partitioner for KeyPartitioner {
-    fn name(&self) -> &str {
-        "blocking-key"
-    }
-
-    fn shard_of(&self, tuple: &Tuple, shards: usize) -> usize {
-        let mut key = String::new();
-        if blocking_key(tuple, &self.cols, &mut key) {
-            shard_of_key(&key, shards)
-        } else {
-            HashPartitioner.shard_of(tuple, shards)
-        }
-    }
-}
-
-/// Compute the shard of every tuple (in input order) under `partitioner`.
-/// The per-row evaluation runs under `par` (this is a real scan for key
-/// partitioners, which normalise text per row); a panicking partitioner is
-/// captured and surfaced as `VadaError::Parallel` naming `stage`, like any
-/// other per-shard scan stage.
-pub fn assign_shards(
-    par: Parallelism,
-    stage: &str,
-    tuples: &[Tuple],
-    partitioner: &(dyn Partitioner + Sync),
-    shards: usize,
-) -> Result<Vec<usize>> {
-    par::par_map(par, stage, tuples, |_, t| partitioner.shard_of(t, shards))
-}
-
-/// Group row indices by shard: `result[s]` lists the rows assigned to
-/// shard `s` in ascending (input) order.
-pub fn rows_by_shard(assignment: &[usize], shards: usize) -> Vec<Vec<usize>> {
-    let mut out = vec![Vec::new(); shards.max(1)];
-    for (row, &s) in assignment.iter().enumerate() {
-        out[s].push(row);
-    }
-    out
-}
-
-/// Re-interleave per-shard outputs into input order: `per_shard[s]` holds
-/// one output per row assigned to shard `s`, in that shard's (ascending)
-/// row order; the merge walks `assignment` and pops from the owning
-/// shard's queue, reproducing exactly the sequence a monolithic scan
-/// would have produced. Panics if the per-shard lengths do not match the
-/// assignment (a bug in the caller's scan, not a data condition).
-pub fn merge_in_order<T>(assignment: &[usize], per_shard: Vec<Vec<T>>) -> Vec<T> {
-    let mut cursors: Vec<std::vec::IntoIter<T>> =
-        per_shard.into_iter().map(|v| v.into_iter()).collect();
-    let merged: Vec<T> = assignment
-        .iter()
-        .map(|&s| {
-            cursors[s]
-                .next()
-                .expect("per-shard outputs must cover the assignment")
-        })
-        .collect();
-    assert!(
-        cursors.iter_mut().all(|c| c.next().is_none()),
-        "per-shard outputs must not exceed the assignment"
-    );
-    merged
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tuple;
-
-    fn rows(n: usize) -> Vec<Tuple> {
-        (0..n as i64).map(|i| tuple![i, format!("row {i}")]).collect()
-    }
-
-    #[test]
-    fn env_override_contract() {
-        match std::env::var("VADA_SHARDS").ok().and_then(|v| v.trim().parse::<usize>().ok()) {
-            Some(n) if n >= 2 => assert_eq!(Sharding::from_env(), Sharding::Shards(n)),
-            _ => assert_eq!(Sharding::from_env(), Sharding::Off),
-        }
-        assert_eq!(Sharding::Off.shard_count(), 1);
-        assert_eq!(Sharding::Shards(4).shard_count(), 4);
-        assert_eq!(Sharding::Shards(0).shard_count(), 1);
-        assert_eq!(Sharding::Shards(usize::MAX).shard_count(), MAX_SHARDS);
-        assert!(!Sharding::Off.is_sharded());
-        assert!(Sharding::Shards(2).is_sharded());
-    }
-
-    #[test]
-    fn hash_assignment_is_stable_and_content_only() {
-        let ts = rows(64);
-        let a1 = assign_shards(Parallelism::Sequential, "t", &ts, &HashPartitioner, 4).unwrap();
-        let a2 = assign_shards(Parallelism::Threads(3), "t", &ts, &HashPartitioner, 4).unwrap();
-        assert_eq!(a1, a2);
-        assert!(a1.iter().all(|&s| s < 4));
-        // equal tuples co-locate
-        assert_eq!(
-            HashPartitioner.shard_of(&tuple![7, "row 7"], 4),
-            a1[7]
-        );
-        // the layout is a pinned pure function: if this assertion ever
-        // fires, the stable hash changed and every sharded layout moved
-        assert_eq!(stable_tuple_hash(&tuple![1, "x"]), stable_tuple_hash(&tuple![1, "x"]));
-        assert_ne!(stable_tuple_hash(&tuple![1, "x"]), stable_tuple_hash(&tuple![2, "x"]));
-    }
-
-    #[test]
-    fn key_partitioner_co_locates_blocking_keys() {
-        let a = tuple!["12 High St.", "M1 1AA"];
-        let b = tuple!["99 park rd", "M1 1AA"];
-        let c = tuple!["1 other ln", "EH1 1AA"];
-        let p = KeyPartitioner { cols: vec![1] };
-        for n in [2usize, 3, 4, 7] {
-            assert_eq!(p.shard_of(&a, n), p.shard_of(&b, n), "same key, {n} shards");
-            assert!(p.shard_of(&c, n) < n);
-        }
-        // all-null key rows spread by whole-tuple hash, not all to shard 0
-        let null_row = Tuple::new(vec![Value::str("x"), Value::Null]);
-        assert_eq!(
-            p.shard_of(&null_row, 5),
-            HashPartitioner.shard_of(&null_row, 5)
-        );
-    }
-
-    #[test]
-    fn merge_reproduces_input_order() {
-        let ts = rows(97);
-        for n in [1usize, 2, 3, 8] {
-            let assignment =
-                assign_shards(Parallelism::Sequential, "t", &ts, &HashPartitioner, n).unwrap();
-            let by_shard = rows_by_shard(&assignment, n);
-            let mut covered: Vec<usize> = by_shard.concat();
-            covered.sort_unstable();
-            assert_eq!(covered, (0..ts.len()).collect::<Vec<_>>(), "{n} shards");
-            // per-shard scan output = the rows themselves
-            let per_shard: Vec<Vec<Tuple>> = by_shard
-                .iter()
-                .map(|rows| rows.iter().map(|&r| ts[r].clone()).collect())
-                .collect();
-            assert_eq!(merge_in_order(&assignment, per_shard), ts, "{n} shards");
-        }
-    }
-
-    #[test]
-    fn blocking_key_matches_fusion_semantics() {
-        let mut key = String::new();
-        assert!(blocking_key(&tuple!["12 High St.", "M1 1AA"], &[0, 1], &mut key));
-        let first = key.clone();
-        assert!(blocking_key(&tuple!["12 high st", "M1 1AA"], &[0, 1], &mut key));
-        assert_eq!(first, key, "normalisation folds case/punctuation");
-        let null_row = Tuple::new(vec![Value::Null, Value::Null]);
-        assert!(!blocking_key(&null_row, &[0, 1], &mut key));
-    }
 }

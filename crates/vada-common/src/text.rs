@@ -5,6 +5,8 @@
 
 use std::collections::HashSet;
 
+use crate::tuple::Tuple;
+
 /// Lower-case, trim, and collapse internal whitespace/punctuation to single
 /// spaces. Matching and blocking both key on this normal form.
 pub fn normalize(s: &str) -> String {
@@ -31,6 +33,33 @@ pub fn normalize_append(s: &str, out: &mut String) {
     while out.len() > start && out.ends_with(' ') {
         out.pop();
     }
+}
+
+/// Build the fusion blocking key of `t` over `cols` into `key` (cleared
+/// first): the normal forms of the non-null key cells joined by `|`.
+/// Returns `false` when every key cell is null (such rows block as
+/// singletons). Columns beyond the tuple's arity behave like null cells.
+pub fn blocking_key(t: &Tuple, cols: &[usize], key: &mut String) -> bool {
+    key.clear();
+    let mut any = false;
+    for &c in cols {
+        if c >= t.arity() {
+            continue;
+        }
+        let v = &t[c];
+        if v.is_null() {
+            continue;
+        }
+        if any {
+            key.push('|');
+        }
+        any = true;
+        match v.as_str() {
+            Some(s) => normalize_append(s, key),
+            None => normalize_append(&v.to_string(), key),
+        }
+    }
+    any
 }
 
 /// Levenshtein edit distance (unit costs).
@@ -191,6 +220,18 @@ pub fn qgram_sim(a: &str, b: &str) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn blocking_key_matches_fusion_semantics() {
+        use crate::{tuple, value::Value};
+        let mut key = String::new();
+        assert!(blocking_key(&tuple!["12 High St.", "M1 1AA"], &[0, 1], &mut key));
+        let first = key.clone();
+        assert!(blocking_key(&tuple!["12 high st", "M1 1AA"], &[0, 1], &mut key));
+        assert_eq!(first, key, "normalisation folds case/punctuation");
+        let null_row = Tuple::new(vec![Value::Null, Value::Null]);
+        assert!(!blocking_key(&null_row, &[0, 1], &mut key));
+    }
 
     #[test]
     fn normalize_collapses() {

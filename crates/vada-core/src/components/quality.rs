@@ -124,10 +124,6 @@ pub struct MappingQuality {
     pub config: ExecuteConfig,
     evaluation: Evaluation,
     executor: IncrementalExecutor,
-    /// Persistent sharded catalog views (see
-    /// [`crate::components::mapping::MappingExecution`]): one store serves
-    /// every candidate, synced O(change) from the journal per run.
-    store: Option<vada_kb::ShardedStore>,
     /// One persistent index cache per candidate mapping for the directed
     /// one-shot execution path (see [`vada_map::execute_mapping_cached`]);
     /// idle unless [`ExecuteConfig::query_caching`] is on.
@@ -167,10 +163,6 @@ impl Transducer for MappingQuality {
         self.evaluation = evaluation;
     }
 
-    fn set_sharding(&mut self, sharding: vada_common::Sharding) {
-        self.config.sharding = sharding;
-    }
-
     fn set_obs(&mut self, obs: vada_common::Obs) {
         self.config.engine.obs = obs;
     }
@@ -206,18 +198,13 @@ impl Transducer for MappingQuality {
         // stay as they are: each is scanned into input facts once
         let mut inputs = MappingInputs::new();
         for mapping in &mappings {
-            let store = crate::components::mapping::sharded_store(
-                &mut self.store,
-                self.config.sharding,
-            );
             let result = if self.evaluation.is_incremental() {
-                self.executor.execute_with(&self.config, mapping, kb, store)?
+                self.executor.execute(&self.config, mapping, kb)?
             } else {
                 vada_map::execute_mapping_cached(
                     &self.config,
                     mapping,
                     kb,
-                    store,
                     self.index_caches.entry(mapping.id.clone()).or_default(),
                     &mut inputs,
                 )?
@@ -419,7 +406,7 @@ mod tests {
     #[test]
     fn full_quality_round_scans_each_source_once() {
         use vada_common::obs::key as obs_key;
-        use vada_common::{Obs, Sharding};
+        use vada_common::Obs;
         use vada_extract::sources::target_schema;
         use vada_extract::{Scenario, ScenarioConfig, UniverseConfig};
 
@@ -430,7 +417,6 @@ mod tests {
         });
         let mut w = crate::Wrangler::new();
         w.set_evaluation(Evaluation::Full);
-        w.set_sharding(Sharding::Off);
         for rel in [sc.rightmove, sc.onthemarket, sc.deprivation] {
             w.add_source(rel);
         }
@@ -443,16 +429,12 @@ mod tests {
         let per_candidate: usize = mappings.iter().map(|m| m.sources.len()).sum();
         assert_eq!((mappings.len(), distinct.len(), per_candidate), (6, 3, 11));
 
-        // a quality round scans each distinct source once; the sharded
-        // path scans per candidate
-        for (sharding, scans) in [(Sharding::Off, 3), (Sharding::Shards(2), 11)] {
-            let obs = Obs::enabled();
-            let mut t = MappingQuality::default();
-            t.set_evaluation(Evaluation::Full);
-            t.set_sharding(sharding);
-            t.set_obs(obs.clone());
-            t.run(&mut kb).unwrap();
-            assert_eq!(obs.get(obs_key::MAP_INPUT_SCANS), scans, "{sharding:?}");
-        }
+        // a quality round scans each distinct source once
+        let obs = Obs::enabled();
+        let mut t = MappingQuality::default();
+        t.set_evaluation(Evaluation::Full);
+        t.set_obs(obs.clone());
+        t.run(&mut kb).unwrap();
+        assert_eq!(obs.get(obs_key::MAP_INPUT_SCANS), 3);
     }
 }

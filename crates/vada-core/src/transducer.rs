@@ -122,12 +122,9 @@ pub trait Transducer {
     /// byte-identical to full evaluation.
     fn set_evaluation(&mut self, _evaluation: Evaluation) {}
 
-    /// Adopt the orchestrator's sharding level (see
-    /// [`crate::OrchestratorConfig::sharding`]). Components whose scans
-    /// have a per-shard substrate (CSV ingest, fusion blocking, mapping
-    /// execution) override this and schedule one unit of work per shard;
-    /// the default ignores it, which is always correct because sharded and
-    /// monolithic scans produce identical output.
+    /// Does nothing: [`Sharding::Off`] is the only level. The method stays
+    /// so that transducer decorators that forward it still compile; the
+    /// orchestrator never calls it.
     fn set_sharding(&mut self, _sharding: Sharding) {}
 
     /// Adopt the orchestrator's observability registry (see

@@ -189,16 +189,9 @@ impl Wrangler {
         self.orchestrator.set_config(config);
     }
 
-    /// Set the sharding level for every registered component. Safe to
-    /// change at any point: sharded and monolithic scans produce identical
-    /// results, traces, and errors at any shard count (the
-    /// `shard_equivalence` suite pins this); under sharding, knowledge-base
-    /// scans run one scheduling unit per shard and the per-shard views stay
-    /// in step with the catalog via the delta journal.
-    pub fn set_sharding(&mut self, sharding: Sharding) {
-        let config = OrchestratorConfig { sharding, ..self.orchestrator.config().clone() };
-        self.orchestrator.set_config(config);
-    }
+    /// Does nothing: [`Sharding::Off`] — one monolithic scan — is the only
+    /// level. The setter stays so that callers that set it still compile.
+    pub fn set_sharding(&mut self, _sharding: Sharding) {}
 
     /// Set the query-caching mode. Under [`QueryCaching::Persistent`] the
     /// knowledge base keeps hash indexes over its dependency-fact view

@@ -13,15 +13,22 @@
 //! disk. A crash can therefore only ever lose (or tear) the *suffix* the
 //! process had not finished writing.
 //!
-//! **Torn tails.** On open the log is scanned record by record. A short
-//! frame, a short payload, or a CRC mismatch at the tail is exactly what an
-//! interrupted write leaves behind: the file is truncated back to the last
-//! whole record and the open succeeds — a torn tail is detected and
-//! discarded, never misread as data. A record that frames and checksums
-//! correctly but fails to *decode* is different: the bytes were written
-//! intact, so the file is from an incompatible or corrupt producer, and the
-//! open fails with [`VadaError::Storage`] rather than silently dropping
-//! acknowledged history.
+//! **Torn tails.** On open the log is scanned record by record. A bad
+//! frame that reaches the end of the file is exactly what an interrupted
+//! write leaves behind: a short frame header, a payload whose claimed end
+//! lies past EOF, or a CRC mismatch on a frame that ends exactly at EOF.
+//! The file is truncated back to the last whole record and the open
+//! succeeds — a torn tail is detected and discarded, never misread as data.
+//! Any other bad frame is corruption, not a crash artifact: a CRC mismatch
+//! with bytes after the frame, or a record that frames and checksums
+//! correctly but fails to *decode*. Later records were acknowledged, so the
+//! open fails with [`VadaError::Storage`] naming the offset and leaves the
+//! file untouched rather than silently dropping acknowledged history.
+//!
+//! The length field is not covered by the checksum, so a corrupted length
+//! in a non-final frame can still read as a torn tail (its claimed end
+//! past EOF) and truncate the later records; the recovered records are
+//! then a prefix of the written ones, never misread data.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -34,9 +41,6 @@ use super::codec::{decode_record, encode_record, WalRecord};
 
 const MAGIC: &[u8; 7] = b"VADAWAL";
 const HEADER_LEN: u64 = 8;
-/// Sanity cap on a single record frame (64 MiB). A length field beyond it
-/// is treated like any other torn tail: garbage, truncate.
-const MAX_RECORD_LEN: u32 = 64 << 20;
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial), table-driven.
 pub fn crc32(bytes: &[u8]) -> u32 {
@@ -104,7 +108,8 @@ impl Wal {
 
     /// Open the log at `path`, replaying its records. A missing file is
     /// created empty. Returns the log (positioned for appending) and every
-    /// whole record, in write order; a torn tail is truncated away.
+    /// whole record, in write order; a torn tail is truncated away, and a
+    /// bad frame before the tail fails the open (see the module docs).
     pub fn open(path: impl Into<PathBuf>) -> Result<(Wal, Vec<WalRecord>)> {
         let path = path.into();
         if !path.exists() {
@@ -143,12 +148,21 @@ impl Wal {
             }
             let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
             let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-            if len > MAX_RECORD_LEN || bytes.len() - pos - 8 < len as usize {
-                break; // implausible length or torn payload
-            }
-            let payload = &bytes[pos + 8..pos + 8 + len as usize];
+            let end = match (pos + 8).checked_add(len as usize) {
+                Some(end) if end <= bytes.len() => end,
+                _ => break, // torn payload: the frame runs past EOF
+            };
+            let payload = &bytes[pos + 8..end];
             if crc32(payload) != crc {
-                break; // torn mid-payload (overwritten garbage)
+                if end == bytes.len() {
+                    break; // torn final frame (overwritten garbage)
+                }
+                return Err(VadaError::Storage(format!(
+                    "{}: record at offset {pos} fails its checksum but {} bytes follow it: \
+                     corruption inside the log, refusing to truncate acknowledged records",
+                    path.display(),
+                    bytes.len() - end
+                )));
             }
             // the frame is intact: a decode failure now is corruption, not
             // a torn tail — refuse rather than drop acknowledged records
@@ -169,7 +183,7 @@ impl Wal {
             }
             last_seq = record.event.seq;
             records.push(record);
-            pos += 8 + len as usize;
+            pos = end;
             offset = pos;
         }
 
@@ -311,6 +325,27 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (_w, records) = Wal::open(&path).unwrap();
         assert_eq!(records, vec![rec(1, 1)]);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn corruption_inside_the_log_is_refused_not_truncated() {
+        let path = tmp("mid");
+        let mut wal = Wal::create(&path).unwrap();
+        for s in 1..=3 {
+            wal.append(&rec(s, 2)).unwrap();
+        }
+        drop(wal);
+        let mut bytes = std::fs::read(&path).unwrap();
+        // flip a payload byte of the second record, leaving its CRC stale
+        let first_len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let second = 8 + 8 + first_len;
+        bytes[second + 8] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Wal::open(&path).unwrap_err();
+        assert_eq!(err.kind(), "storage");
+        assert!(err.message().contains(&format!("offset {second}")), "{err}");
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the log must be left untouched");
         std::fs::remove_file(&path).unwrap();
     }
 

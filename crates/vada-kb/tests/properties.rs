@@ -3,7 +3,7 @@
 //! with adversarial values, snapshots round-trip whole states, and the
 //! write-ahead log recovers a strict prefix of its records from *any*
 //! byte-level truncation — a torn tail is detected and discarded, never
-//! misread.
+//! misread — while corruption before the final frame is refused.
 
 use proptest::prelude::*;
 
@@ -109,6 +109,18 @@ fn scratch(name: &str, case: u64) -> std::path::PathBuf {
     dir
 }
 
+/// The `(start, end)` byte span of every frame in a well-formed log.
+fn frame_spans(log: &[u8]) -> Vec<(usize, usize)> {
+    let mut spans = Vec::new();
+    let mut pos = 8;
+    while pos < log.len() {
+        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().unwrap()) as usize;
+        spans.push((pos, pos + 8 + len));
+        pos += 8 + len;
+    }
+    spans
+}
+
 proptest! {
     /// decode∘encode is the identity over every change variant — the
     /// WAL's and the snapshot's shared foundation.
@@ -147,6 +159,53 @@ proptest! {
         // idempotence: the healed file reopens to the same records
         let (_w2, again) = Wal::open(&path).unwrap();
         prop_assert_eq!(recovered, again);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Flipping any checksum or payload byte is a torn tail only in the
+    /// final frame, where the open recovers exactly the preceding records;
+    /// in an earlier frame the open fails with a storage error and leaves
+    /// the file untouched. Length bytes are not checksummed: flipping one
+    /// yields a prefix of the records or an error, never a panic.
+    #[test]
+    fn wal_corruption_truncates_only_a_torn_final_frame(
+        records in proptest::collection::vec(arb_record(), 1..4),
+        case in 0u64..u64::MAX,
+    ) {
+        let mut records = records;
+        for (i, r) in records.iter_mut().enumerate() {
+            r.event.seq = (i as u64) + 1;
+        }
+        let dir = scratch("wal-flip", case);
+        let path = dir.join("wal.log");
+        let mut wal = Wal::create(&path).unwrap();
+        for r in &records {
+            wal.append(r).unwrap();
+        }
+        drop(wal);
+        let full = std::fs::read(&path).unwrap();
+        let spans = frame_spans(&full);
+        prop_assert_eq!(spans.len(), records.len());
+        let last = spans.len() - 1;
+        for (frame, &(start, end)) in spans.iter().enumerate() {
+            for at in start..end {
+                let mut bytes = full.clone();
+                bytes[at] ^= 0xFF;
+                std::fs::write(&path, &bytes).unwrap();
+                let opened = Wal::open(&path).map(|(_, recovered)| recovered);
+                if at < start + 4 {
+                    if let Ok(recovered) = opened {
+                        prop_assert!(records.starts_with(&recovered), "length byte {}", at);
+                    }
+                } else if frame == last {
+                    prop_assert_eq!(opened.unwrap(), records[..last].to_vec());
+                } else {
+                    let err = opened.unwrap_err();
+                    prop_assert_eq!(err.kind(), "storage");
+                    prop_assert_eq!(std::fs::read(&path).unwrap(), bytes);
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

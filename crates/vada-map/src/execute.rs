@@ -5,26 +5,18 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use vada_common::obs::{key as obs_key, Obs};
-use vada_common::{
-    par, AttrType, Parallelism, QueryCaching, Relation, Result, Schema, Sharding, Tuple,
-    VadaError, Value,
-};
+use vada_common::{AttrType, QueryCaching, Relation, Result, Schema, Tuple, VadaError, Value};
 use vada_datalog::ast::{Atom, HeadTerm, Literal, Rule, Term};
 use vada_datalog::cache::IndexCache;
 use vada_datalog::engine::{Database, Engine, EngineConfig, FactSet};
 use vada_datalog::parse_program;
-use vada_kb::{KnowledgeBase, MappingDef, ShardedStore};
+use vada_kb::{KnowledgeBase, MappingDef};
 
 /// Execution configuration.
 #[derive(Debug, Clone, Default)]
 pub struct ExecuteConfig {
     /// Engine limits.
     pub engine: EngineConfig,
-    /// Sharding level for the input-database construction: the extensional
-    /// load and the `postcode_district` helper scan run per shard and merge
-    /// back in canonical row order, so the execution result is byte-identical
-    /// at any shard count. Defaults to the `VADA_SHARDS` override.
-    pub sharding: Sharding,
     /// Whether a directed one-shot execution probes a caller-held
     /// [`IndexCache`] (see [`execute_mapping_cached`]) instead of building
     /// per-run indexes. Defaults to the `VADA_QUERY_CACHE` override.
@@ -196,137 +188,40 @@ impl SourceFacts {
     }
 }
 
-/// The execution database of `mapping`: from `inputs`, or under
-/// [`Sharding::Shards`] from per-shard scans (see [`sharded_input_db`]).
-pub(crate) fn input_db(
-    cfg: &ExecuteConfig,
-    mapping: &MappingDef,
-    kb: &KnowledgeBase,
-    store: Option<&mut ShardedStore>,
-    inputs: &mut MappingInputs,
-) -> Result<Database> {
-    if cfg.sharding.is_sharded() {
-        sharded_input_db(mapping, kb, cfg.sharding, cfg.engine.parallelism, &cfg.engine.obs, store)
-    } else {
-        inputs.database(mapping, kb, &cfg.engine.obs)
-    }
-}
-
-/// The execution database over sharded scans: the `postcode_district`
-/// helper scan — the expensive per-row string analysis — runs one
-/// scheduling unit per shard of the [`ShardedStore`]'s journal-synced
-/// views, merged back to canonical row order before insertion. The
-/// resulting database (facts *and* insertion order) is byte-identical to
-/// [`MappingInputs::database`].
-///
-/// Callers that execute repeatedly pass their persistent `store` so the
-/// views sync O(change) from the delta journal between runs; `None` builds
-/// an ephemeral store (one repartition, no reuse).
-fn sharded_input_db(
-    mapping: &MappingDef,
-    kb: &KnowledgeBase,
-    sharding: Sharding,
-    parallelism: Parallelism,
-    obs: &Obs,
-    store: Option<&mut ShardedStore>,
-) -> Result<Database> {
-    let mut ephemeral;
-    let store = match store {
-        Some(s) => s,
-        None => {
-            ephemeral = ShardedStore::new(sharding);
-            &mut ephemeral
-        }
-    };
-    store.set_parallelism(parallelism);
-    store.set_obs(obs.clone());
-    // only the mapping's sources are scanned here, so the store never pays
-    // to partition results or intermediates (scope only grows, so a store
-    // shared across mappings keeps every source it ever scanned synced)
-    store.add_scope(mapping.sources.iter().cloned());
-    store.sync(kb)?;
-    let mut db = Database::new();
-    for source in &mapping.sources {
-        // one per-shard scan yields both the extensional rows and the
-        // postcode_district helper facts; the ordered merge restores
-        // canonical row order, so the database is byte-identical to the
-        // monolithic build
-        let view = store
-            .view(source)
-            .ok_or_else(|| VadaError::Kb(format!("no sharded view for `{source}`")))?;
-        let per_shard = par::par_shards_obs(
-            obs,
-            parallelism,
-            "map/shard_input_scan",
-            view.shard_count(),
-            |s| {
-                Ok(view
-                    .shard(s)
-                    .iter()
-                    .map(|t| (t.clone(), district_facts(t).collect::<Vec<_>>()))
-                    .collect::<Vec<_>>())
-            },
-        )?;
-        obs.incr(obs_key::MAP_INPUT_SCANS);
-        for (row, row_facts) in view.merge_scan(per_shard) {
-            db.insert(source, row);
-            for (full, district) in row_facts {
-                db.insert(POSTCODE_DISTRICT, Tuple::new(vec![full, district]));
-            }
-        }
-    }
-    Ok(db)
-}
-
 /// Execute a mapping and return the result in the target schema.
 pub fn execute_mapping(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     kb: &KnowledgeBase,
 ) -> Result<Relation> {
-    execute_mapping_with(cfg, mapping, kb, None)
+    execute_mapping_impl(cfg, mapping, kb, None, &mut MappingInputs::new())
 }
 
-/// [`execute_mapping`] with an optional persistent [`ShardedStore`]: under
-/// [`Sharding::Shards`] the input database is built from per-shard scans
-/// of the store's journal-synced views (see [`sharded_input_db`]); the
-/// result is byte-identical either way.
-pub fn execute_mapping_with(
-    cfg: &ExecuteConfig,
-    mapping: &MappingDef,
-    kb: &KnowledgeBase,
-    store: Option<&mut ShardedStore>,
-) -> Result<Relation> {
-    execute_mapping_impl(cfg, mapping, kb, store, None, &mut MappingInputs::new())
-}
-
-/// [`execute_mapping_with`] with a caller-held persistent [`IndexCache`]:
+/// [`execute_mapping`] with a caller-held persistent [`IndexCache`]:
 /// under [`ExecuteConfig::query_caching`] + directed mode the demanded
 /// run's hash indexes survive into the next call instead of dying with it.
 /// The cache is validated against the knowledge base's journal identity —
 /// indexes are reused only at an unchanged `(lineage, version)`, where the
 /// input database this call builds is byte-identical to the one they
 /// cover; any other identity drops them (`magic.cache.*` counters record
-/// the outcome). Outside [`Sharding::Shards`] the input database comes from
-/// the caller's [`MappingInputs`] pool, so a caller executing several
-/// mappings against one knowledge-base state scans each source once. The
-/// result is byte-identical to the uncached call.
+/// the outcome). The input database comes from the caller's
+/// [`MappingInputs`] pool, so a caller executing several mappings against
+/// one knowledge-base state scans each source once. The result is
+/// byte-identical to the uncached call.
 pub fn execute_mapping_cached(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     kb: &KnowledgeBase,
-    store: Option<&mut ShardedStore>,
     cache: &mut IndexCache,
     inputs: &mut MappingInputs,
 ) -> Result<Relation> {
-    execute_mapping_impl(cfg, mapping, kb, store, Some(cache), inputs)
+    execute_mapping_impl(cfg, mapping, kb, Some(cache), inputs)
 }
 
 fn execute_mapping_impl(
     cfg: &ExecuteConfig,
     mapping: &MappingDef,
     kb: &KnowledgeBase,
-    store: Option<&mut ShardedStore>,
     cache: Option<&mut IndexCache>,
     inputs: &mut MappingInputs,
 ) -> Result<Relation> {
@@ -341,12 +236,12 @@ fn execute_mapping_impl(
     }
     let program = parse_program(&mapping.rules)?;
     cfg.engine.obs.incr(obs_key::MAP_FULL);
-    // wraps input build + engine run: the shard scans and the engine's
-    // stratum spans nest underneath
+    // wraps input build + engine run: the engine's stratum spans nest
+    // underneath
     let span = cfg.engine.obs.span("map/execute");
     span.attr("mapping", &mapping.id);
     span.attr("target", &mapping.target);
-    let input = input_db(cfg, mapping, kb, store, inputs)?;
+    let input = inputs.database(mapping, kb, &cfg.engine.obs)?;
     let engine = Engine::new(cfg.engine.clone());
     // A mapping run demands its *entire* target relation — an all-free
     // access pattern — so under QueryMode::Directed the magic rewrite
@@ -558,12 +453,12 @@ mod tests {
         let mut cache = IndexCache::new();
         let mut inputs = MappingInputs::new();
 
-        let cold = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache, &mut inputs).unwrap();
+        let cold = execute_mapping_cached(&cfg, &m, &kb, &mut cache, &mut inputs).unwrap();
         assert_eq!(obs.get(obs_key::MAGIC_CACHE_MISSES), 1);
         let builds_after_cold = obs.get(obs_key::INDEX_BUILDS);
 
         // unchanged kb: warm reuse, byte-identical result, zero new builds
-        let warm = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache, &mut inputs).unwrap();
+        let warm = execute_mapping_cached(&cfg, &m, &kb, &mut cache, &mut inputs).unwrap();
         assert_eq!(warm.tuples(), cold.tuples());
         assert_eq!(obs.get(obs_key::MAGIC_CACHE_HITS), 1);
         assert_eq!(obs.get(obs_key::INDEX_BUILDS), builds_after_cold);
@@ -573,9 +468,9 @@ mod tests {
         let mut grown = kb.relation("deprivation").unwrap().clone();
         grown.push(tuple!["EH1", "900"]).unwrap();
         kb.register_source(grown);
-        let edited = execute_mapping_cached(&cfg, &m, &kb, None, &mut cache, &mut inputs).unwrap();
+        let edited = execute_mapping_cached(&cfg, &m, &kb, &mut cache, &mut inputs).unwrap();
         assert_eq!(obs.get(obs_key::MAGIC_CACHE_MISSES), 2);
-        let plain = execute_mapping_with(&cfg, &m, &kb, None).unwrap();
+        let plain = execute_mapping(&cfg, &m, &kb).unwrap();
         assert_eq!(edited.tuples(), plain.tuples());
     }
 
@@ -657,7 +552,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_inputs_match_fresh_and_sharded_execution() {
+    fn pooled_inputs_match_fresh_execution() {
         let district_join = "
             property(S, PC, P, C) :- a(P, S, PC), postcode_district(PC, D), c(D, C).
             property(S, PC, P, null) :- a(P, S, PC), not has_crime(PC).
@@ -686,10 +581,9 @@ mod tests {
         for seed in 0..12 {
             let mut kb = random_kb(seed);
             let obs = Obs::enabled();
-            let mut pooled_cfg = ExecuteConfig { sharding: Sharding::Off, ..Default::default() };
+            let mut pooled_cfg = ExecuteConfig::default();
             pooled_cfg.engine.obs = obs.clone();
-            let fresh_cfg = ExecuteConfig { sharding: Sharding::Off, ..Default::default() };
-            let sharded_cfg = ExecuteConfig { sharding: Sharding::Shards(4), ..Default::default() };
+            let fresh_cfg = ExecuteConfig::default();
             let mut inputs = MappingInputs::new();
             for round in 0..2u64 {
                 for m in &mappings {
@@ -700,15 +594,12 @@ mod tests {
                         &pooled_cfg,
                         m,
                         &kb,
-                        None,
                         &mut IndexCache::new(),
                         &mut inputs,
                     )
                     .unwrap();
                     let fresh = execute_mapping(&fresh_cfg, m, &kb).unwrap();
-                    let sharded = execute_mapping(&sharded_cfg, m, &kb).unwrap();
                     assert_eq!(csv(&pooled), csv(&fresh), "{ctx}");
-                    assert_eq!(csv(&sharded), csv(&fresh), "{ctx}");
                     // the pool is untouched by what the mapping derived
                     let pool = inputs.database(m, &kb, &Obs::disabled()).unwrap();
                     assert_eq!(dump(&pool), want, "{ctx}");

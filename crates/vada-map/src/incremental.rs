@@ -64,7 +64,7 @@ use vada_datalog::incremental::{DeltaMode, IncrementalSession};
 use vada_kb::{DeltaChange, DeltaEvent, KnowledgeBase, MappingDef};
 
 use crate::execute::{
-    coerce_fact, district_facts, input_db, ExecuteConfig, MappingInputs, POSTCODE_DISTRICT,
+    coerce_fact, district_facts, ExecuteConfig, MappingInputs, POSTCODE_DISTRICT,
 };
 
 /// Cap on retained sessions; the least recently used is evicted beyond it.
@@ -297,21 +297,6 @@ impl IncrementalExecutor {
         mapping: &MappingDef,
         kb: &KnowledgeBase,
     ) -> Result<Relation> {
-        self.execute_with(cfg, mapping, kb, None)
-    }
-
-    /// [`IncrementalExecutor::execute`] with an optional persistent
-    /// [`ShardedStore`]: under [`vada_common::Sharding::Shards`] the
-    /// bootstrap (from-scratch) input database is built from per-shard
-    /// scans of the store's journal-synced views, while the delta path is
-    /// untouched — it is already O(change) straight from the journal.
-    pub fn execute_with(
-        &mut self,
-        cfg: &ExecuteConfig,
-        mapping: &MappingDef,
-        kb: &KnowledgeBase,
-        store: Option<&mut vada_kb::ShardedStore>,
-    ) -> Result<Relation> {
         let target: Schema = kb
             .target_schema()
             .ok_or_else(|| VadaError::Kb("no target schema registered".into()))?
@@ -357,7 +342,7 @@ impl IncrementalExecutor {
                 }
             }
         }
-        self.bootstrap(&fp, cfg, mapping, &target, kb, store)
+        self.bootstrap(&fp, cfg, mapping, &target, kb)
     }
 
     /// Decide whether the journal entries since the session's watermark
@@ -526,9 +511,8 @@ impl IncrementalExecutor {
         mapping: &MappingDef,
         target: &Schema,
         kb: &KnowledgeBase,
-        store: Option<&mut vada_kb::ShardedStore>,
     ) -> Result<Relation> {
-        let input = input_db(cfg, mapping, kb, store, &mut MappingInputs::new())?;
+        let input = MappingInputs::new().database(mapping, kb, &cfg.engine.obs)?;
         // first-occurrence source index and contributor count per helper
         // fact, and row multiplicities, in the same scan order the input
         // build uses
